@@ -29,7 +29,7 @@ fn bench(c: &mut Criterion) {
     // configurations onto the same sequential plan, so the two should be
     // indistinguishable. A persistent multi-×-percent gap means the clamp
     // has regressed or per-trial channel traffic has crept back into the
-    // worker loop (reports must travel in `FLUSH_TRIALS`-sized chunks).
+    // worker loop (cheap trials must travel in `FLUSH_TRIALS`-sized chunks).
     // `perf-snapshot` asserts this direction on every run.
     for threads in [1usize, 4] {
         let mc = MonteCarlo::new(STREAM_TRIALS, bench_seed()).with_threads(threads);

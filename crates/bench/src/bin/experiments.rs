@@ -1,6 +1,6 @@
 //! The experiment harness: regenerates every table and series of the paper's
 //! evaluation (Table 1 rows plus the supporting theorem/lemma checks), as
-//! indexed in DESIGN.md and recorded in EXPERIMENTS.md.
+//! indexed in `lv_sim::experiments` (README, *Reproducing the paper*).
 //!
 //! Usage:
 //!
@@ -60,7 +60,7 @@ fn usage() {
     eprintln!(
         "usage: experiments [--exp e1,e2,...|all] [--profile quick|full] [--seed N]\n\
          \n\
-         Experiments (see DESIGN.md for the paper artefact each reproduces):\n\
+         Experiments (the lv_sim::experiments index names the paper artefact of each):\n\
          \te1   Table 1 row 1, self-destructive threshold sweep\n\
          \te2   Table 1 row 1, non-self-destructive threshold sweep\n\
          \te3   Table 1 row 2, balanced inter+intra competition (Theorems 20/23)\n\

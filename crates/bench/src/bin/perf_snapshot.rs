@@ -3,7 +3,8 @@
 //!
 //! Runs the fixed-work kernels the Criterion benches measure interactively
 //! (`simulator_kernels_k6`, `batch_streaming`, `sampling_kernels`,
-//! `protocol_batching`, `protocol_bridging`) plus the threshold-surface
+//! `protocol_batching`, `protocol_bridging`), the two-species jump-chain
+//! kernel pair (`two_species_kernel`) plus the threshold-surface
 //! server's cache-hit round trip (`server_roundtrip`) with a plain
 //! wall-clock timer and writes the results to `BENCH_8.json`, so the
 //! performance trajectory of the hot paths is recorded per revision instead
@@ -30,6 +31,12 @@
 //!   counted stepper pays Θ(1) per *active* interaction, so beyond
 //!   `n = 10⁴` it is measured under an interaction budget and projected to
 //!   the bridged run's interaction count for an equal-work wall-clock ratio.
+//!
+//! Two ratio gates — machine-robust, since both sides run on the same
+//! host in the same process — fail the run outright: the 4-thread
+//! `batch_streaming` batch may cost at most 1.25× the 1-thread one, and the
+//! `jump-chain` backend's two-species path at most 1.25× `run_majority` per
+//! event (`two_species_kernel`).
 
 use lv_engine::{backend, Scenario};
 use lv_lotka::{CompetitionKind, LvModel, MultiLvModel};
@@ -52,6 +59,29 @@ fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
         .collect();
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     samples[samples.len() / 2]
+}
+
+/// Median wall-clock milliseconds of `f`, of `g`, and of the per-round
+/// ratio `f / g` over `rounds` rounds (after one warmup each), the two
+/// timed alternately within each round. A gate on the ratio median shrugs
+/// off a slow spell of the host that hits one round.
+fn paired_ms(rounds: usize, mut f: impl FnMut(), mut g: impl FnMut()) -> (f64, f64, f64) {
+    f();
+    g();
+    let time = |h: &mut dyn FnMut()| {
+        let start = Instant::now();
+        h();
+        start.elapsed().as_secs_f64() * 1e3
+    };
+    let (mut fs, mut gs): (Vec<f64>, Vec<f64>) = (0..rounds.max(1))
+        .map(|_| (time(&mut f), time(&mut g)))
+        .unzip();
+    let mut ratios: Vec<f64> = fs.iter().zip(&gs).map(|(f, g)| f / g).collect();
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+        v[v.len() / 2]
+    };
+    (median(&mut fs), median(&mut gs), median(&mut ratios))
 }
 
 struct Kernel {
@@ -158,6 +188,64 @@ fn main() {
         stream_ms[1],
         stream_ms[0],
     );
+
+    // ---- two_species_kernel: the `jump-chain` backend's two-species path
+    // against `lv_lotka::run_majority` on the same RNG streams (so the same
+    // events), in ns/event at n = 10⁴, self-destructive and
+    // non-self-destructive. Both run the fused `run_jump_chain` kernel; the
+    // gate holds the backend's stop-condition check and observation
+    // assembly to at most 25% on top of the bare loop, in the median of at
+    // least nine per-round ratios. The two are timed alternately so a slow
+    // spell of the host hits both, and the inputs and
+    // outcomes pass through `black_box` so that neither side is specialised
+    // to constant rates or stripped of unused tallies.
+    {
+        use std::hint::black_box;
+        let n = 10_000u64;
+        let (a, b) = black_box((n / 2 + 50, n / 2 - 50));
+        let runs: u64 = if quick { 8 } else { 32 };
+        let jump_chain = backend("jump-chain").expect("builtin backend");
+        for (tag, kind) in [
+            ("sd", CompetitionKind::SelfDestructive),
+            ("nsd", CompetitionKind::NonSelfDestructive),
+        ] {
+            let model = black_box(LvModel::neutral(kind, 1.0, 1.0, 1.0));
+            let scenario = Scenario::majority(model, a, b);
+            let budget = black_box(lv_engine::default_majority_budget(n));
+            let mut events = 0u64;
+            let (backend_ms, direct_ms, ratio) = paired_ms(
+                reps.max(9),
+                || {
+                    events = (0..runs)
+                        .map(|t| {
+                            black_box(jump_chain.run(&scenario, &mut seed().rng_for_trial(t)))
+                                .events
+                        })
+                        .sum();
+                },
+                || {
+                    for t in 0..runs {
+                        let mut rng = seed().rng_for_trial(t);
+                        black_box(lv_lotka::run_majority(&model, a, b, &mut rng, budget));
+                    }
+                },
+            );
+            for (variant, wall_ms) in [("backend", backend_ms), ("run_majority", direct_ms)] {
+                kernels.push(Kernel {
+                    name: format!("two_species_kernel/{tag}_n{n}_{variant}"),
+                    wall_ms,
+                    events,
+                });
+            }
+            assert!(
+                ratio <= 1.25,
+                "the jump-chain backend costs {ratio:.2}× run_majority per event \
+                 ({:.2} against {:.2} ns/event; {tag}, n = {n})",
+                backend_ms * 1e6 / events as f64,
+                direct_ms * 1e6 / events as f64,
+            );
+        }
+    }
 
     // ---- sampling_kernels: per-draw cost of the urn samplers, retired
     // inversion walk vs the constant-expected-time rejection kernels, at the

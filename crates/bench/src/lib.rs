@@ -1,10 +1,11 @@
 //! Shared helpers for the benchmark harness.
 //!
 //! The Criterion benches in `benches/` measure the performance of the kernel
-//! behind each experiment of DESIGN.md at a deliberately small scale (so a
-//! full `cargo bench` stays in the minutes range); the `experiments` binary in
-//! `src/bin/experiments.rs` is the harness that regenerates the actual tables
-//! and series reported in EXPERIMENTS.md.
+//! behind each experiment of the `lv_sim::experiments` index at a deliberately
+//! small scale (so a full `cargo bench` stays in the minutes range); the
+//! `experiments` binary in `src/bin/experiments.rs` is the harness that
+//! regenerates the actual tables and series (README, *Reproducing the
+//! paper*).
 
 #![forbid(unsafe_code)]
 

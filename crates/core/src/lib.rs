@@ -29,7 +29,11 @@
 //! reports a [`MajorityOutcome`]: the winner, the consensus time `T(S)`, the
 //! number of individual events `I(S)`, competition events `K(S)`, bad
 //! non-competitive events `J(S)`, and the demographic-noise decomposition
-//! `F = F_ind + F_comp` of Eq. (3)/(7).
+//! `F = F_ind + F_comp` of Eq. (3)/(7). It is one instance of
+//! [`run_jump_chain`], the single fused loop that steps the chain, tallies
+//! all of these observables and stops on a caller-supplied check — the
+//! engine's `jump-chain` backend runs the same loop with a scenario's stop
+//! condition.
 //!
 //! [`LvJumpChain`] is the fast, specialised jump-chain simulator the runs are
 //! built on; it is statistically identical to simulating the
@@ -78,4 +82,6 @@ pub use model::LvModel;
 pub use multi::MultiLvModel;
 pub use population::{margin_of, plurality_leader, Population};
 pub use rates::{CompetitionKind, LvRates, SpeciesIndex};
-pub use run::{run_majority, run_majority_with_trajectory, MajorityOutcome, NoiseDecomposition};
+pub use run::{
+    run_jump_chain, run_majority, run_majority_with_trajectory, MajorityOutcome, NoiseDecomposition,
+};

@@ -91,7 +91,7 @@ pub fn run_majority<R: Rng + ?Sized>(
     rng: &mut R,
     max_events: u64,
 ) -> MajorityOutcome {
-    run_internal(model, a, b, rng, max_events, None)
+    run_to_consensus(model, a, b, rng, max_events, None)
 }
 
 /// Like [`run_majority`], but additionally records the gap trajectory
@@ -105,19 +105,55 @@ pub fn run_majority_with_trajectory<R: Rng + ?Sized>(
     max_events: u64,
 ) -> (MajorityOutcome, Vec<i64>) {
     let mut trajectory = Vec::new();
-    let outcome = run_internal(model, a, b, rng, max_events, Some(&mut trajectory));
+    let outcome = run_to_consensus(model, a, b, rng, max_events, Some(&mut trajectory));
     (outcome, trajectory)
 }
 
-fn run_internal<R: Rng + ?Sized>(
+fn run_to_consensus<R: Rng + ?Sized>(
     model: &LvModel,
     a: u64,
     b: u64,
     rng: &mut R,
     max_events: u64,
-    mut trajectory: Option<&mut Vec<i64>>,
+    trajectory: Option<&mut Vec<i64>>,
 ) -> MajorityOutcome {
     let initial = LvConfiguration::new(a, b);
+    let (mut outcome, truncated) =
+        run_jump_chain(model, initial, rng, trajectory, |counts, events| {
+            if counts.contains(&0) {
+                Some(false)
+            } else {
+                (events >= max_events).then_some(true)
+            }
+        });
+    outcome.truncated = truncated.unwrap_or(false);
+    outcome
+}
+
+/// The fused two-species jump-chain kernel behind [`run_majority`] and the
+/// engine's `jump-chain` backend: steps an [`LvJumpChain`] from `initial`
+/// and tallies every majority observable in the same loop — the event
+/// counts `I`/`K`/`J`, the noise split `F_ind`/`F_comp`, the largest
+/// population and, when `trajectory` is given, the gap `∆_t` after every
+/// event (preceded by `∆_0`), all relative to the initial majority (species
+/// 0 on a tie).
+///
+/// Before every step — the first included — `check` sees the counts and the
+/// number of events so far; the run stops on its first verdict. The kernel
+/// returns the outcome together with that verdict, or `None` when the chain
+/// was absorbed first. The outcome's `consensus_reached` and `winner` are
+/// read off the final state; `truncated` is left `false` for the caller to
+/// set from the verdict.
+pub fn run_jump_chain<R, V>(
+    model: &LvModel,
+    initial: LvConfiguration,
+    rng: &mut R,
+    mut trajectory: Option<&mut Vec<i64>>,
+    mut check: impl FnMut(&[u64; 2], u64) -> Option<V>,
+) -> (MajorityOutcome, Option<V>)
+where
+    R: Rng + ?Sized,
+{
     let initial_majority = initial.majority();
     // Sign with which the raw gap x0 − x1 is converted to the paper's ∆
     // (count of initial majority minus count of initial minority). For a tie
@@ -127,13 +163,12 @@ fn run_internal<R: Rng + ?Sized>(
         Some(SpeciesIndex::One) => -1,
         _ => 1,
     };
-    let mut chain = LvJumpChain::new(*model, initial);
     let mut outcome = MajorityOutcome {
         initial,
         final_state: initial,
         initial_majority,
         winner: None,
-        consensus_reached: initial.is_consensus(),
+        consensus_reached: false,
         truncated: false,
         events: 0,
         individual_events: 0,
@@ -142,26 +177,19 @@ fn run_internal<R: Rng + ?Sized>(
         noise: NoiseDecomposition::default(),
         max_population: initial.total(),
     };
-    if let Some(t) = trajectory.as_deref_mut() {
-        t.push(sign * initial.gap());
-    }
-    if outcome.consensus_reached {
-        outcome.winner = initial.winner();
-        return outcome;
-    }
-
     let mut delta_prev = sign * initial.gap();
-    while !chain.state().is_consensus() {
-        if outcome.events >= max_events {
-            outcome.truncated = true;
-            break;
+    if let Some(t) = trajectory.as_deref_mut() {
+        t.push(delta_prev);
+    }
+    let mut chain = LvJumpChain::new(*model, initial);
+    let verdict = loop {
+        let before = chain.state();
+        let (x0, x1) = before.counts();
+        if let Some(verdict) = check(&[x0, x1], outcome.events) {
+            break Some(verdict);
         }
-        let abs_gap_before = chain.state().gap().abs();
         let Some(event) = chain.step(rng) else {
-            // Absorbed without consensus cannot happen for two-species models
-            // (consensus states are exactly the absorbing boundary plus
-            // (0,0)), but guard against zero-rate corner cases.
-            break;
+            break None;
         };
         outcome.events += 1;
         let state = chain.state();
@@ -173,7 +201,7 @@ fn run_internal<R: Rng + ?Sized>(
         if event.is_individual() {
             outcome.individual_events += 1;
             outcome.noise.individual += f_t;
-            if state.gap().abs() < abs_gap_before {
+            if state.gap().abs() < before.gap().abs() {
                 outcome.bad_noncompetitive_events += 1;
             }
         } else {
@@ -183,12 +211,13 @@ fn run_internal<R: Rng + ?Sized>(
         if let Some(t) = trajectory.as_deref_mut() {
             t.push(delta_now);
         }
-    }
+    };
 
-    outcome.final_state = chain.state();
-    outcome.consensus_reached = chain.state().is_consensus();
-    outcome.winner = chain.state().winner();
-    outcome
+    let last = chain.state();
+    outcome.final_state = last;
+    outcome.consensus_reached = last.is_consensus();
+    outcome.winner = last.winner();
+    (outcome, verdict)
 }
 
 #[cfg(test)]

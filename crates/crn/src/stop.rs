@@ -17,6 +17,10 @@ use std::sync::Arc;
 #[derive(Clone)]
 pub struct StopCondition {
     kinds: Vec<StopKind>,
+    /// Whether every state kind can hold only once some species is extinct
+    /// (given at least two species): while all species are alive the state
+    /// check is then `false` without looking at the kinds.
+    needs_extinct: bool,
     max_events: Option<u64>,
     max_time: Option<f64>,
 }
@@ -29,6 +33,20 @@ enum StopKind {
     TotalIsZero,
     AtMostOneAlive,
     Predicate(Arc<dyn Fn(&State) -> bool + Send + Sync>),
+}
+
+impl StopKind {
+    /// Whether the kind can hold only in a state with an extinct species,
+    /// for populations of at least two species.
+    fn needs_extinct(&self) -> bool {
+        match self {
+            StopKind::AnySpeciesExtinct
+            | StopKind::SpeciesExtinct(_)
+            | StopKind::TotalIsZero
+            | StopKind::AtMostOneAlive => true,
+            StopKind::TotalAtLeast(_) | StopKind::Predicate(_) => false,
+        }
+    }
 }
 
 impl fmt::Debug for StopCondition {
@@ -44,6 +62,7 @@ impl fmt::Debug for StopCondition {
 impl StopCondition {
     fn from_kind(kind: StopKind) -> Self {
         StopCondition {
+            needs_extinct: kind.needs_extinct(),
             kinds: vec![kind],
             max_events: None,
             max_time: None,
@@ -91,6 +110,7 @@ impl StopCondition {
     pub fn never() -> Self {
         StopCondition {
             kinds: Vec::new(),
+            needs_extinct: true,
             max_events: None,
             max_time: None,
         }
@@ -112,6 +132,7 @@ impl StopCondition {
     /// Combines two conditions; the run stops when either triggers.
     pub fn or(mut self, other: StopCondition) -> Self {
         self.kinds.extend(other.kinds);
+        self.needs_extinct &= other.needs_extinct;
         self.max_events = match (self.max_events, other.max_events) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -125,15 +146,37 @@ impl StopCondition {
 
     /// Whether the state-based part of the condition holds in `state`.
     pub fn is_met(&self, state: &State) -> bool {
+        self.is_met_counts(state.counts())
+    }
+
+    /// Whether the state-based part of the condition holds for the species
+    /// counts `counts` — [`is_met`](StopCondition::is_met) on a bare slice,
+    /// for simulation loops that keep their state as plain counts.
+    /// Conditions that need an extinct species answer `false` from one scan
+    /// while every species is alive; predicates see the counts as a
+    /// [`State`] built for the call.
+    #[inline]
+    pub fn is_met_counts(&self, counts: &[u64]) -> bool {
+        !self.ruled_out(counts) && self.holds(counts)
+    }
+
+    /// The pre-check, inlined into the caller's loop so that only states
+    /// that can meet the condition pay for the walk over the kinds: a
+    /// condition that needs an extinct species cannot hold while every one
+    /// of at least two species is alive.
+    #[inline]
+    fn ruled_out(&self, counts: &[u64]) -> bool {
+        self.needs_extinct && counts.len() >= 2 && !counts.contains(&0)
+    }
+
+    fn holds(&self, counts: &[u64]) -> bool {
         self.kinds.iter().any(|kind| match kind {
-            StopKind::AnySpeciesExtinct => state.any_extinct(),
-            StopKind::SpeciesExtinct(s) => state.is_extinct(*s),
-            StopKind::TotalAtLeast(t) => state.total() >= *t,
-            StopKind::TotalIsZero => state.total() == 0,
-            StopKind::AtMostOneAlive => {
-                state.counts().iter().filter(|&&count| count > 0).count() <= 1
-            }
-            StopKind::Predicate(f) => f(state),
+            StopKind::AnySpeciesExtinct => counts.contains(&0),
+            StopKind::SpeciesExtinct(s) => counts[s.index()] == 0,
+            StopKind::TotalAtLeast(t) => counts.iter().sum::<u64>() >= *t,
+            StopKind::TotalIsZero => counts.iter().sum::<u64>() == 0,
+            StopKind::AtMostOneAlive => counts.iter().filter(|&&count| count > 0).count() <= 1,
+            StopKind::Predicate(f) => f(&State::from(counts)),
         })
     }
 
@@ -285,6 +328,39 @@ mod tests {
             ..base
         };
         assert!(absorbed.absorbed());
+    }
+
+    #[test]
+    fn counts_check_agrees_with_the_state_check() {
+        let conditions = [
+            StopCondition::any_species_extinct(),
+            StopCondition::species_extinct(SpeciesId::new(0)),
+            StopCondition::total_at_least(9),
+            StopCondition::total_extinction(),
+            StopCondition::consensus(),
+            StopCondition::predicate(|s: &State| s.count(SpeciesId::new(0)) > 4),
+            StopCondition::never(),
+            StopCondition::consensus().or(StopCondition::total_at_least(12)),
+        ];
+        let states: [&[u64]; 8] = [
+            &[2, 3],
+            &[0, 3],
+            &[5, 0],
+            &[0, 0],
+            &[7, 6],
+            &[0, 3, 1],
+            &[0, 3, 0],
+            &[4],
+        ];
+        for (c, cond) in conditions.iter().enumerate() {
+            for counts in states {
+                assert_eq!(
+                    cond.is_met_counts(counts),
+                    cond.is_met(&State::from(counts)),
+                    "condition {c} on {counts:?}"
+                );
+            }
+        }
     }
 
     #[test]

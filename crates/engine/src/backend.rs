@@ -3,7 +3,7 @@
 use crate::observer::{Observer, ObserverSpec, StepRecord};
 use crate::report::RunReport;
 use crate::scenario::Scenario;
-use lv_crn::{State, StopReason};
+use lv_crn::{StopCondition, StopReason};
 use lv_lotka::{Population, PopulationEvent};
 use rand::rngs::StdRng;
 
@@ -67,16 +67,37 @@ pub trait Backend: Send + Sync {
     fn run(&self, scenario: &Scenario, rng: &mut StdRng) -> RunReport;
 }
 
+/// Why a run in state `counts`, after `events` firings at time `time`,
+/// stops — checked in the same order as
+/// `StochasticSimulator::run_with_observer`: state condition first, then the
+/// event budget, then the time budget. `None` while the run goes on.
+pub(crate) fn stop_reason(
+    stop: &StopCondition,
+    counts: &[u64],
+    events: u64,
+    time: f64,
+) -> Option<StopReason> {
+    if stop.is_met_counts(counts) {
+        Some(StopReason::ConditionMet)
+    } else if stop.max_events().is_some_and(|max| events >= max) {
+        Some(StopReason::MaxEventsReached)
+    } else if stop.max_time().is_some_and(|max| time >= max) {
+        Some(StopReason::MaxTimeReached)
+    } else {
+        None
+    }
+}
+
 /// Shared driver state: stop-condition evaluation, observer dispatch and
 /// report assembly. Backends own the stepping; everything else lives here so
-/// every backend honors a scenario identically.
+/// every backend honors a scenario identically. The one exception is the
+/// two-species jump chain, which runs [`stop_reason`] inside the fused
+/// `lv_lotka::run_jump_chain` kernel and builds its observations from the
+/// kernel's tallies (the engine's proptests hold the two to the same
+/// reports).
 pub(crate) struct Driver<'a> {
     scenario: &'a Scenario,
     observers: Vec<(ObserverSpec, Box<dyn Observer>)>,
-    /// Scratch state kept in sync with `state` so the CRN
-    /// [`StopCondition`](lv_crn::StopCondition) can be evaluated without
-    /// per-step allocation.
-    scratch: State,
     /// Current counts, one per species.
     state: Vec<u64>,
     /// Staging buffer for the after-step counts (swapped with `state` after
@@ -102,7 +123,6 @@ impl<'a> Driver<'a> {
         Driver {
             scenario,
             observers,
-            scratch: State::from(initial.counts()),
             staging: counts.clone(),
             state: counts,
             events: 0,
@@ -122,25 +142,10 @@ impl<'a> Driver<'a> {
         self.steps
     }
 
-    /// Checks the scenario's stop condition and budgets, in the same order
-    /// as `StochasticSimulator::run_with_observer`: state condition first,
-    /// then the event budget, then the time budget.
+    /// Checks the scenario's stop condition and budgets; see
+    /// [`stop_reason`].
     pub(crate) fn check_stop(&self) -> Option<StopReason> {
-        let stop = self.scenario.stop();
-        if stop.is_met(&self.scratch) {
-            return Some(StopReason::ConditionMet);
-        }
-        if let Some(max_events) = stop.max_events() {
-            if self.events >= max_events {
-                return Some(StopReason::MaxEventsReached);
-            }
-        }
-        if let Some(max_time) = stop.max_time() {
-            if self.time >= max_time {
-                return Some(StopReason::MaxTimeReached);
-            }
-        }
-        None
+        stop_reason(self.scenario.stop(), &self.state, self.events, self.time)
     }
 
     /// Records one completed step: advances the clocks, updates the tracked
@@ -169,9 +174,6 @@ impl<'a> Driver<'a> {
             observer.on_step(&record);
         }
         std::mem::swap(&mut self.state, &mut self.staging);
-        for (index, &count) in self.state.iter().enumerate() {
-            self.scratch.set_count(lv_crn::SpeciesId::new(index), count);
-        }
         self.events += firings;
         self.steps += 1;
         self.time = time;

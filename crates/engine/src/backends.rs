@@ -2,25 +2,28 @@
 //! CRN simulators, and the deterministic ODE — all defined over `k`-species
 //! scenarios.
 
-use crate::backend::{Backend, Driver};
+use crate::backend::{stop_reason, Backend, Driver};
+use crate::observer::{EventCounts, NoiseObservation, Observation, ObserverSpec};
 use crate::report::RunReport;
 use crate::scenario::{Scenario, ScenarioModel};
 use lv_crn::simulators::{
     GillespieDirect, JumpChain, NextReaction, StochasticSimulator, TauLeaping,
 };
 use lv_crn::{State, StopReason};
-use lv_lotka::{CompetitionKind, LvJumpChain, MultiLvModel, PopulationEvent};
+use lv_lotka::{run_jump_chain, CompetitionKind, MultiLvModel, Population, PopulationEvent};
 use lv_ode::{CompetitiveLv, CompetitiveLvK, DynRk4, OdeSystem, Rk4};
 use rand::rngs::StdRng;
 
 /// The exact discrete-time jump chain (the paper's chain `S = (S_t)`).
 ///
-/// Two-species scenarios run on [`LvJumpChain`], the bespoke specialised
-/// stepper migrated from `lv_lotka::run_majority`: on the same RNG stream it
-/// visits exactly the same states, so its reports reproduce `run_majority`
-/// bit for bit. `k`-species scenarios run the same embedded jump chain
-/// through the generic CRN simulator ([`lv_crn::simulators::JumpChain`]) on
-/// the model's reaction network.
+/// Two-species scenarios run on [`run_jump_chain`], the fused
+/// [`LvJumpChain`](lv_lotka::LvJumpChain) kernel `lv_lotka::run_majority`
+/// also runs on: one loop steps the chain, evaluates the stop condition on
+/// the counts and tallies every built-in observation, so on the same RNG
+/// stream its reports reproduce `run_majority` bit for bit. `k`-species
+/// scenarios run the same embedded jump chain through the generic CRN
+/// simulator ([`lv_crn::simulators::JumpChain`]) on the model's reaction
+/// network.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JumpChainBackend;
 
@@ -53,21 +56,53 @@ impl Backend for JumpChainBackend {
             .initial()
             .as_lv_configuration()
             .expect("two-species model has a two-species initial population");
-        let mut chain = LvJumpChain::new(*model, initial);
-        let mut driver = Driver::new(scenario);
-        loop {
-            if let Some(reason) = driver.check_stop() {
-                return driver.finish(self.name(), reason);
-            }
-            match chain.step(rng) {
-                Some(event) => {
-                    let time = (driver.events() + 1) as f64;
-                    let (x0, x1) = chain.state().counts();
-                    driver.record(Some(event.into()), &[x0, x1], time, 1);
-                }
-                None => return driver.finish(self.name(), StopReason::Absorbed),
-            }
-        }
+        let stop = scenario.stop();
+        let wants_trajectory = scenario.observers().contains(&ObserverSpec::GapTrajectory);
+        let mut trajectory = Vec::new();
+        // The jump chain's clock is its event count.
+        let (outcome, verdict) = run_jump_chain(
+            model,
+            initial,
+            rng,
+            wants_trajectory.then_some(&mut trajectory),
+            |counts, events| stop_reason(stop, counts, events, events as f64),
+        );
+        let observations = scenario
+            .observers()
+            .iter()
+            .map(|&spec| {
+                let observation = match spec {
+                    ObserverSpec::GapTrajectory => {
+                        Observation::GapTrajectory(std::mem::take(&mut trajectory))
+                    }
+                    ObserverSpec::NoiseDecomposition => Observation::Noise(NoiseObservation {
+                        classified: outcome.noise,
+                        unclassified: 0,
+                    }),
+                    ObserverSpec::EventCounts => Observation::Events(EventCounts {
+                        individual: outcome.individual_events,
+                        competitive: outcome.competitive_events,
+                        bad_noncompetitive: outcome.bad_noncompetitive_events,
+                        unclassified: 0,
+                    }),
+                    ObserverSpec::MaxPopulation => {
+                        Observation::MaxPopulation(outcome.max_population)
+                    }
+                };
+                (spec, observation)
+            })
+            .collect();
+        let (x0, x1) = outcome.final_state.counts();
+        RunReport::new(
+            self.name(),
+            scenario.initial().clone(),
+            Population::new(vec![x0, x1]),
+            verdict.unwrap_or(StopReason::Absorbed),
+            outcome.events,
+            outcome.events,
+            outcome.events as f64,
+            observations,
+        )
     }
 }
 
@@ -367,7 +402,6 @@ fn run_ode(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observer::ObserverSpec;
     use lv_lotka::LvModel;
     use rand::SeedableRng;
 

@@ -1,19 +1,23 @@
-//! Streaming sharded batch execution: run a [`Scenario`] many times and
+//! Streaming parallel batch execution: run a [`Scenario`] many times and
 //! consume the [`RunReport`]s *as trials finish*, without ever materialising
 //! a batch.
 //!
 //! The pieces compose bottom-up:
 //!
-//! * [`ShardQueue`] — a lock-free work-stealing dispenser of dynamic trial
-//!   chunks: idle workers claim the next shard instead of being pinned to a
-//!   static range, so stragglers (trials that run long) never leave cores
-//!   idle;
+//! * [`ShardQueue`] — a lock-free dispenser of trial indices: idle workers
+//!   claim the next trial (one per claim by default) instead of being
+//!   pinned to a static range, so stragglers (trials that run long) never
+//!   leave cores idle;
 //! * [`ReportStream`] — an iterator over `(trial, RunReport)` pairs in
-//!   strict trial order. Workers run trials out of order and feed a
-//!   crossbeam channel; a small reorder buffer on the consuming side
-//!   restores trial order, which is what makes every downstream fold
-//!   bit-identical at every thread count (trial `i` always uses the RNG the
-//!   factory returns for `i`, and results are always folded `0, 1, 2, …`);
+//!   strict trial order. Workers run trials out of order and send
+//!   `(trial, report)` pairs over a crossbeam channel, flushing a chunk at
+//!   [`FLUSH_TRIALS`] reports or once its reports sum to [`FLUSH_EVENTS`]
+//!   events, whichever comes first — cheap trials still travel in batches
+//!   while an expensive trial reaches the consumer as soon as it finishes.
+//!   A small reorder buffer on the consuming side restores trial order,
+//!   which is what makes every downstream fold bit-identical at every
+//!   thread count (trial `i` always uses the RNG the factory returns for
+//!   `i`, and results are always folded `0, 1, 2, …`);
 //! * [`OnlineAccumulator`] — a statistic folded one report at a time:
 //!   [`SuccessTally`] (win counts), [`RunMoments`] (Welford mean/variance
 //!   of consensus event counts and extinction times), [`PluralityTally`]
@@ -24,7 +28,9 @@
 //!   the estimate is tight enough; an optional decision
 //!   [`boundary`](EarlyStop::with_boundary) instead stops as soon as the
 //!   interval clears a success-probability boundary (how threshold probes
-//!   avoid spending the full budget far from the threshold);
+//!   avoid spending the full budget far from the threshold). Per-trial
+//!   claims and work-based flushing keep the trials run past the stopping
+//!   point to about one per worker;
 //! * [`ReportStream::fold_with`] — the driver tying them together, with a
 //!   [`Progress`] callback per folded trial.
 //!
@@ -75,8 +81,8 @@ pub struct StreamConfig {
 }
 
 impl StreamConfig {
-    /// A configuration running `trials` trials on all available cores with
-    /// an automatically sized shard.
+    /// A configuration running `trials` trials on all available cores,
+    /// claiming one trial at a time.
     ///
     /// # Panics
     ///
@@ -104,8 +110,10 @@ impl StreamConfig {
         self
     }
 
-    /// Fixes the shard size (trials claimed per queue access). Smaller
-    /// shards balance load better; larger shards amortise queue traffic.
+    /// Fixes the shard size (trials claimed per queue access). By default
+    /// workers claim one trial at a time, which keeps speculation — trials
+    /// run past an early stop — to about one trial per worker; a larger
+    /// shard trades that for fewer queue accesses.
     ///
     /// # Panics
     ///
@@ -126,23 +134,12 @@ impl StreamConfig {
         self.threads
     }
 
-    /// The effective shard size: the configured one, or an automatic choice
-    /// giving each worker several claims (for load balancing) while keeping
-    /// shards no larger than 256 trials.
-    ///
-    /// Load balancing only happens across *physical* cores: threads beyond
-    /// the machine's available parallelism time-slice the same cores, so
-    /// splitting the batch finer for them buys nothing and multiplies queue
-    /// and channel traffic. Oversubscribed configurations therefore get the
-    /// shard size of the physical core count.
+    /// The effective shard size: the configured one, or one trial per
+    /// claim. Per-trial claims cost one atomic increment each, far below a
+    /// trial; delivery is batched separately (see [`FLUSH_TRIALS`] and
+    /// [`FLUSH_EVENTS`]), so small claims do not mean small messages.
     pub fn effective_shard_size(&self) -> u64 {
-        self.shard_size.unwrap_or_else(|| {
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            let balancing = self.threads.min(cores) as u64;
-            (self.trials / (balancing * 4).max(1)).clamp(1, 256)
-        })
+        self.shard_size.unwrap_or(1)
     }
 
     /// The number of worker threads actually spawned for `scheduled` trials:
@@ -156,11 +153,14 @@ impl StreamConfig {
     ///   traffic without adding throughput (BENCH_7 measured the 512-trial
     ///   success-probability batch *slower* at 4 threads than at 1 on a
     ///   single-core host for exactly this reason).
-    /// * **Flush chunks** — delivery happens in [`FLUSH_TRIALS`]-sized
-    ///   chunks, so a batch of `scheduled` trials contains only
+    /// * **Flush chunks** — cheap trials are delivered in chunks of
+    ///   [`FLUSH_TRIALS`], so a batch of `scheduled` trials holds at most
     ///   `⌈scheduled / FLUSH_TRIALS⌉` chunks of per-worker work worth
-    ///   parallelising; more workers than chunks just fragments delivery
-    ///   into sub-chunk messages.
+    ///   parallelising; more workers than chunks would split a batch of
+    ///   cheap trials into sub-chunk messages (and spend a thread start on
+    ///   each). Expensive trials flush one by one ([`FLUSH_EVENTS`]), but
+    ///   that is only known once they have run, so the clamp counts chunks
+    ///   of cheap trials.
     ///
     /// When the clamp leaves a single worker the stream runs sequentially on
     /// the consuming thread, with no queue or channel at all.
@@ -181,10 +181,22 @@ impl StreamConfig {
 /// them to the consumer in a single channel message.
 ///
 /// This decouples *delivery* granularity from *load-balancing* granularity
-/// (the shard size): per-trial sends cost more than a cheap trial itself,
-/// while whole-shard messages would make an early-stopping consumer wait for
-/// a full shard per worker before its stopping rule can see the first trial.
+/// (the claim size): per-trial sends cost more than a cheap trial itself,
+/// so cheap trials travel in chunks.
 pub const FLUSH_TRIALS: u64 = 16;
+
+/// The summed [`RunReport::events`] at which a parallel worker flushes its
+/// chunk early, before it holds [`FLUSH_TRIALS`] reports.
+///
+/// A few hundred microseconds of jump-chain work: a channel message costs a
+/// few microseconds, so a chunk this large amortises it, while an expensive
+/// trial — one that alone passes the mark — reaches the consumer as soon as
+/// it finishes. That is what lets an early-stopping consumer halt the
+/// workers after the deciding trial instead of after a chunk per worker.
+/// The batched protocol backends count interactions, far more than the work
+/// they do, so their trials flush one by one; each such trial still costs
+/// well over a message.
+pub const FLUSH_EVENTS: u64 = 1 << 13;
 
 /// A lock-free dispenser of dynamic trial shards.
 ///
@@ -682,11 +694,11 @@ enum StreamInner {
     /// once, replicate the report (matching the batch runner's behaviour of
     /// executing deterministic backends a single time).
     Deterministic { report: RunReport },
-    /// Sharded multi-threaded execution feeding a reorder buffer. Each
-    /// channel message is one flushed chunk of a shard: the starting trial
-    /// index and up to [`FLUSH_TRIALS`] reports in trial order.
+    /// Multi-threaded execution feeding a reorder buffer. Each channel
+    /// message is one flushed chunk of a worker: up to [`FLUSH_TRIALS`]
+    /// `(trial, report)` pairs, in the order the worker ran them.
     Parallel {
-        receiver: Receiver<(u64, Vec<RunReport>)>,
+        receiver: Receiver<Vec<(u64, RunReport)>>,
         pending: BTreeMap<u64, RunReport>,
         queue: Arc<ShardQueue>,
         workers: Vec<JoinHandle<()>>,
@@ -700,21 +712,25 @@ enum StreamInner {
 /// An iterator over `(trial, RunReport)` pairs of a streamed batch, in
 /// strict trial order.
 ///
-/// Trials execute on worker threads claiming dynamic shards from a
+/// Trials execute on worker threads claiming them one at a time from a
 /// [`ShardQueue`] and may *finish* in any order; a reorder buffer on the
 /// consuming side restores index order before yielding. Combined with the
 /// per-trial RNG contract of [`TrialRngFactory`], every fold over the stream
 /// is bit-identical regardless of thread count or scheduling. No batch is
-/// ever materialised, no matter how slow the consumer: reports travel in
-/// chunks of up to [`FLUSH_TRIALS`] per channel message (a send per trial
-/// costs more than a cheap trial itself, while whole-shard messages would
-/// delay early stopping by a shard per worker) through a *bounded* channel,
-/// so workers block on a full channel instead of racing ahead, and the
-/// reorder buffer only ever holds the few chunks in flight.
+/// ever materialised, no matter how slow the consumer: reports travel as
+/// `(trial, report)` chunks through a *bounded* channel, so workers block on
+/// a full channel instead of racing ahead, and the reorder buffer only ever
+/// holds the few chunks in flight. A chunk is flushed at [`FLUSH_TRIALS`]
+/// reports or [`FLUSH_EVENTS`] summed events, whichever comes first: a send
+/// per cheap trial costs more than the trial itself, while an expensive
+/// trial held back for a full chunk would delay an early stop by a chunk
+/// per worker.
 ///
-/// Dropping the stream halts the queue and joins the workers; a panic on a
-/// worker thread is re-raised on the consuming thread once the stream
-/// reaches the panicked trial.
+/// Dropping the stream halts the queue and joins the workers. A panic on a
+/// worker thread halts the queue; every worker still delivers the trials it
+/// completed, and the panic is re-raised on the consuming thread once the
+/// stream reaches the first trial left unrun — the panicked one, or an
+/// earlier trial the halt kept a worker from starting.
 pub struct ReportStream {
     inner: StreamInner,
     /// Next trial index to yield.
@@ -794,19 +810,20 @@ impl ReportStream {
                 let scenario = Arc::clone(&scenario);
                 let queue = Arc::clone(&queue);
                 let rng_for_trial = Arc::clone(&rng_for_trial);
-                let sender: Sender<(u64, Vec<RunReport>)> = sender.clone();
+                let sender: Sender<Vec<(u64, RunReport)>> = sender.clone();
                 let panic = Arc::clone(&panic);
                 std::thread::spawn(move || {
-                    while let Some(shard) = queue.claim() {
-                        let mut chunk_start = shard.start;
-                        let mut reports =
-                            Vec::with_capacity(FLUSH_TRIALS.min(shard.end - shard.start) as usize);
+                    let mut chunk = Vec::with_capacity(FLUSH_TRIALS as usize);
+                    let mut chunk_events = 0u64;
+                    'claims: while let Some(shard) = queue.claim() {
                         for trial in shard {
                             if queue.is_halted() {
-                                // Halted mid-shard (early stop or drop): the
-                                // consumer has stopped folding, so the
-                                // partial chunk is discarded.
-                                return;
+                                // Halted mid-shard: leave through the final
+                                // flush below, so a panic elsewhere still
+                                // finds this worker's completed trials
+                                // delivered (after an early stop or a drop
+                                // the consumer just discards them).
+                                break 'claims;
                             }
                             // Catch backend panics here rather than letting
                             // the thread die: the queue halts at once (so the
@@ -820,14 +837,18 @@ impl ReportStream {
                                     backend.run(&scenario, &mut rng)
                                 }));
                             match result {
-                                Ok(report) => reports.push(report),
+                                Ok(report) => {
+                                    chunk_events = chunk_events.saturating_add(report.events);
+                                    chunk.push((trial, report));
+                                }
                                 Err(payload) => {
                                     queue.halt();
-                                    // Deliver the chunk's completed prefix —
-                                    // the consumer folds trials in order up
-                                    // to the panicked one before re-raising.
-                                    if !reports.is_empty() {
-                                        let _ = sender.send((chunk_start, reports));
+                                    // Deliver the completed trials — the
+                                    // consumer folds them in order up to the
+                                    // first trial left unrun before
+                                    // re-raising.
+                                    if !chunk.is_empty() {
+                                        let _ = sender.send(chunk);
                                     }
                                     let mut slot =
                                         panic.lock().unwrap_or_else(|poison| poison.into_inner());
@@ -835,27 +856,27 @@ impl ReportStream {
                                     return;
                                 }
                             }
-                            // Chunked sends: one message per FLUSH_TRIALS
-                            // completed trials, not one per trial (per-trial
-                            // sends cost more than a cheap trial itself —
-                            // the 512-trial batch-streaming bench regressed
-                            // 4-thread vs 1-thread on them) and not one per
-                            // shard (which would delay early stopping by a
-                            // whole shard per worker).
-                            if reports.len() as u64 == FLUSH_TRIALS {
-                                if sender
-                                    .send((chunk_start, std::mem::take(&mut reports)))
-                                    .is_err()
-                                {
+                            // Flush on whichever comes first: FLUSH_TRIALS
+                            // reports (per-trial sends cost more than a cheap
+                            // trial — the 512-trial batch-streaming bench
+                            // regressed 4-thread vs 1-thread on them) or
+                            // FLUSH_EVENTS of work (an expensive trial must
+                            // reach an early-stopping consumer at once).
+                            if chunk.len() as u64 == FLUSH_TRIALS || chunk_events >= FLUSH_EVENTS {
+                                let full = std::mem::replace(
+                                    &mut chunk,
+                                    Vec::with_capacity(FLUSH_TRIALS as usize),
+                                );
+                                if sender.send(full).is_err() {
                                     // Receiver gone: the stream was dropped.
                                     return;
                                 }
-                                chunk_start = trial + 1;
+                                chunk_events = 0;
                             }
                         }
-                        if !reports.is_empty() && sender.send((chunk_start, reports)).is_err() {
-                            return;
-                        }
+                    }
+                    if !chunk.is_empty() {
+                        let _ = sender.send(chunk);
                     }
                 })
             })
@@ -994,10 +1015,10 @@ impl Iterator for ReportStream {
                     break Some(report);
                 }
                 match receiver.recv() {
-                    Ok((start, reports)) => {
-                        debug_assert!(start >= trial, "shard at {start} delivered twice");
-                        for (offset, report) in reports.into_iter().enumerate() {
-                            pending.insert(start + offset as u64, report);
+                    Ok(chunk) => {
+                        for (done, report) in chunk {
+                            debug_assert!(done >= trial, "trial {done} delivered twice");
+                            pending.insert(done, report);
                         }
                     }
                     // Every sender hung up with trials still owed: a worker
@@ -1034,7 +1055,7 @@ impl Drop for ReportStream {
         {
             // Drain the channel first: a worker blocked on a full bounded
             // channel must be released before it can observe the halt and
-            // exit (each worker sends at most one more report after the
+            // exit (each worker sends at most one more chunk after the
             // halt, then drops its sender, ending this loop).
             while receiver.recv().is_ok() {}
             // Reap the workers, swallowing panics (they were either already
@@ -1293,6 +1314,224 @@ mod tests {
         // The queue was halted by the panicking worker, so the surviving
         // workers did not burn through (and buffer) the remaining trials.
         assert!(stream.next().is_none());
+    }
+
+    #[test]
+    fn a_worker_panic_still_delivers_the_trials_completed_before_it() {
+        use std::cell::Cell;
+        use std::time::{Duration, Instant};
+
+        thread_local! {
+            /// The trial whose RNG this thread was handed last.
+            static TRIAL: Cell<u64> = const { Cell::new(0) };
+        }
+
+        const SHARD: u64 = 4;
+
+        /// Trial 0 waits until trial `SHARD` — the first of the second
+        /// shard — has started, so the two shards run on different workers.
+        /// Trial `SHARD` panics once every earlier trial has finished, and
+        /// trial `2 × SHARD` waits for that panic: the worker that ran the
+        /// first shard sees the halt in the middle of its next shard while
+        /// still holding the first shard's reports.
+        struct PanicsAfterTheFirstShard {
+            second_started: AtomicBool,
+            finished: AtomicU64,
+            panicked: AtomicBool,
+        }
+        impl Backend for PanicsAfterTheFirstShard {
+            fn name(&self) -> &'static str {
+                "panics-after-the-first-shard-test"
+            }
+            fn description(&self) -> &'static str {
+                "jump-chain runs, then a panic at the second shard"
+            }
+            fn run(&self, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
+                let trial = TRIAL.with(Cell::get);
+                // The deadline turns a broken interleaving into a failed
+                // assertion instead of a hang.
+                let deadline = Instant::now() + Duration::from_secs(2);
+                let wait_for = |done: &dyn Fn() -> bool| {
+                    while !done() && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                };
+                if trial == 0 {
+                    wait_for(&|| self.second_started.load(Ordering::SeqCst));
+                }
+                if trial == SHARD {
+                    self.second_started.store(true, Ordering::SeqCst);
+                    wait_for(&|| self.finished.load(Ordering::SeqCst) >= SHARD);
+                    self.panicked.store(true, Ordering::SeqCst);
+                    panic!("backend exploded");
+                }
+                if trial == 2 * SHARD {
+                    wait_for(&|| self.panicked.load(Ordering::SeqCst));
+                    // Let the panicking worker's halt land.
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+                let report = backend("jump-chain").unwrap().run(scenario, rng);
+                if trial < SHARD {
+                    self.finished.fetch_add(1, Ordering::SeqCst);
+                }
+                report
+            }
+        }
+
+        let backend: &'static dyn Backend = Box::leak(Box::new(PanicsAfterTheFirstShard {
+            second_started: AtomicBool::new(false),
+            finished: AtomicU64::new(0),
+            panicked: AtomicBool::new(false),
+        }));
+        let rngs: TrialRngFactory = Arc::new(|trial| {
+            TRIAL.with(|t| t.set(trial));
+            StdRng::seed_from_u64(trial)
+        });
+        let mut stream = ReportStream::new(
+            &scenario(),
+            backend,
+            StreamConfig::new(64).with_threads(2).with_shard_size(SHARD),
+            rngs,
+        );
+        let mut folded = Vec::new();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for (trial, _) in stream.by_ref() {
+                folded.push(trial);
+            }
+        }));
+        assert!(result.is_err(), "the worker panic must reach the consumer");
+        assert_eq!(
+            folded,
+            (0..SHARD).collect::<Vec<_>>(),
+            "the trials completed before the panicked one must all be folded"
+        );
+    }
+
+    #[test]
+    fn speculation_past_an_early_stop_stays_bounded() {
+        use lv_crn::StopReason;
+        use rand::Rng;
+        use std::cell::Cell;
+        use std::sync::Condvar;
+        use std::time::Duration;
+
+        thread_local! {
+            /// The trial whose RNG this thread was handed last: the stream
+            /// asks for a trial's RNG on the thread that then runs it.
+            static TRIAL: Cell<u64> = const { Cell::new(0) };
+        }
+
+        /// How many trials past the consumer's fold a run may finish.
+        const AHEAD: u64 = 2;
+
+        /// Every run reports more than `FLUSH_EVENTS` events and a win of
+        /// the initial leader, and is counted. Trial `t` finishes only once
+        /// the consumer has folded `t − AHEAD` trials: the gate pins the
+        /// interleaving, so the trials run past the stop depend on the
+        /// stream's claiming and flushing alone, not on thread scheduling.
+        struct Gated {
+            runs: AtomicU64,
+            folded: Mutex<u64>,
+            moved: Condvar,
+        }
+        impl Gated {
+            fn fold(&self, folded: u64) {
+                *self.folded.lock().expect("gate lock") = folded;
+                self.moved.notify_all();
+            }
+        }
+        impl Backend for Gated {
+            fn name(&self) -> &'static str {
+                "gated-test"
+            }
+            fn description(&self) -> &'static str {
+                "expensive, always-won trials gated on the consumer's progress"
+            }
+            fn run(&self, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
+                self.runs.fetch_add(1, Ordering::Relaxed);
+                let trial = TRIAL.with(Cell::get);
+                // The timeout turns a stream that withholds finished trials
+                // into a failed bound instead of a hang.
+                let gate = self.folded.lock().expect("gate lock");
+                let _gate = self
+                    .moved
+                    .wait_timeout_while(gate, Duration::from_secs(2), |folded| {
+                        trial.saturating_sub(AHEAD) > *folded
+                    })
+                    .expect("gate lock");
+                let events = FLUSH_EVENTS + rng.gen_range(0..1_000u64);
+                let mut survivor = vec![0; scenario.species_count()];
+                survivor[scenario.initial().leader().expect("a leader")] = 1;
+                RunReport::new(
+                    self.name(),
+                    scenario.initial().clone(),
+                    lv_lotka::Population::new(survivor),
+                    StopReason::ConditionMet,
+                    events,
+                    events,
+                    events as f64,
+                    Vec::new(),
+                )
+            }
+        }
+
+        // Every trial succeeds, so the rule fires exactly at trial `k`.
+        let k = 20;
+        let rule = EarlyStop::at_half_width(0.5).with_min_trials(k);
+        let run = |threads: usize, shard: Option<u64>| {
+            let backend: &'static Gated = Box::leak(Box::new(Gated {
+                runs: AtomicU64::new(0),
+                folded: Mutex::new(0),
+                moved: Condvar::new(),
+            }));
+            let mut config = StreamConfig::new(10_000).with_threads(threads);
+            if let Some(shard) = shard {
+                config = config.with_shard_size(shard);
+            }
+            let rngs: TrialRngFactory = Arc::new(|trial| {
+                TRIAL.with(|t| t.set(trial));
+                StdRng::seed_from_u64(trial)
+            });
+            let mut stream = ReportStream::new(&scenario(), backend, config, rngs);
+            let mut folded = Vec::new();
+            let mut successes = 0;
+            for (trial, report) in stream.by_ref() {
+                successes += u64::from(report.plurality_won());
+                folded.push((trial, report));
+                backend.fold(folded.len() as u64);
+                if rule.satisfied(successes, folded.len() as u64) {
+                    break;
+                }
+            }
+            // The halt `fold_with` makes when its rule fires, before the
+            // gate opens: released workers then see it and stop.
+            stream.halt();
+            backend.fold(u64::MAX);
+            drop(stream);
+            let workers = config.effective_workers(10_000) as u64;
+            (folded, backend.runs.load(Ordering::Relaxed), workers)
+        };
+        let (sequential, runs, _) = run(1, None);
+        assert_eq!(sequential.len() as u64, k);
+        assert_eq!(runs, k, "the sequential stream runs no trial past the stop");
+        for threads in [2, 4] {
+            // Finished trials end at index k + AHEAD, and each worker holds
+            // at most one more.
+            let (folded, runs, workers) = run(threads, None);
+            assert_eq!(folded, sequential, "{threads} threads diverged");
+            let bound = k + AHEAD + 1 + workers;
+            assert!(
+                runs <= bound,
+                "{threads} threads ran {runs} trials for an early stop at {k} (bound {bound})"
+            );
+            for shard in [3, 64] {
+                let (folded, _, _) = run(threads, Some(shard));
+                assert_eq!(
+                    folded, sequential,
+                    "{threads} threads, shard {shard} diverged"
+                );
+            }
+        }
     }
 
     #[test]

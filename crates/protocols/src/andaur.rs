@@ -24,8 +24,9 @@ use serde::{Deserialize, Serialize};
 /// bounding the birth propensity by a resource-inflow cap `C` exercises the
 /// same "bounded, non-mass-action growth" behaviour the analysis relies on
 /// (their dominating chain is a nice chain precisely because growth is
-/// bounded), without simulating the resource molecule counts themselves. This
-/// substitution is recorded in DESIGN.md.
+/// bounded), without simulating the resource molecule counts themselves.
+/// Experiment E5 (see the index in `lv_sim::experiments`) runs this
+/// substituted model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AndaurResourceModel {
     /// Per-capita growth rate `β` (applied to the resource-limited count).

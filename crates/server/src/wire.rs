@@ -69,13 +69,20 @@ impl From<std::io::Error> for WireError {
 }
 
 /// Writes one frame.
+///
+/// Header and payload go out in a single `write_all`: on an unbuffered
+/// socket separate writes cost a syscall each, and on TCP a header sent
+/// apart from its payload can stall on Nagle's algorithm against the peer's
+/// delayed ACK.
 pub fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> Result<(), WireError> {
     if payload.len() > MAX_FRAME_BYTES {
         return Err(WireError::Oversized(payload.len() as u32));
     }
-    writer.write_all(&MAGIC)?;
-    writer.write_all(&(payload.len() as u32).to_be_bytes())?;
-    writer.write_all(payload)?;
+    let mut frame = Vec::with_capacity(MAGIC.len() + 4 + payload.len());
+    frame.extend_from_slice(&MAGIC);
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    writer.write_all(&frame)?;
     writer.flush()?;
     Ok(())
 }
@@ -175,6 +182,24 @@ mod tests {
             read_frame(&mut cursor, MAX_FRAME_BYTES),
             Err(WireError::Eof)
         ));
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        /// Records the size of every `write` call.
+        struct Writes(Vec<usize>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut writes = Writes(Vec::new());
+        write_frame(&mut writes, b"hello").unwrap();
+        assert_eq!(writes.0, vec![MAGIC.len() + 4 + 5]);
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! The experiment suite of DESIGN.md (E1–E16).
+//! The experiment suite (E1–E16), indexed by paper artefact below.
 //!
 //! Every experiment regenerates one artefact of the paper's evaluation —
 //! a row of Table 1, a theorem's quantitative claim, or a supporting scaling
 //! curve — and returns an [`ExperimentReport`] that renders as plain text
-//! (the same text EXPERIMENTS.md records). The `experiments` binary in the
-//! `lv-bench` crate runs any subset of them from the command line, and the
+//! (the same text the `experiments` binary prints). That binary, in the
+//! `lv-bench` crate, runs any subset of them from the command line, and the
 //! Criterion benches wrap the same functions.
 //!
 //! | id | paper artefact | function |
@@ -45,8 +45,8 @@ pub enum Profile {
     /// Small population sizes and trial counts — seconds per experiment, used
     /// by tests and the Criterion benches.
     Quick,
-    /// The population sizes and trial counts reported in EXPERIMENTS.md —
-    /// minutes per experiment.
+    /// The population sizes and trial counts of the full evaluation (README,
+    /// *Reproducing the paper*) — minutes per experiment.
     Full,
 }
 
@@ -116,7 +116,7 @@ pub struct ExperimentReport {
     pub title: String,
     /// Result tables (one per series).
     pub tables: Vec<Table>,
-    /// Key findings as sentences (the qualitative checks of DESIGN.md).
+    /// Key findings as sentences (the experiment's qualitative checks).
     pub findings: Vec<String>,
 }
 

@@ -454,9 +454,9 @@ impl MonteCarlo {
         self
     }
 
-    /// Fixes the streaming shard size (trials claimed per work-stealing
-    /// queue access; the default sizes shards automatically). Results are
-    /// identical for every shard size — only scheduling granularity changes.
+    /// Fixes the streaming shard size (trials claimed per queue access; by
+    /// default workers claim one trial at a time). Results are identical for
+    /// every shard size — only scheduling granularity changes.
     ///
     /// # Panics
     ///
