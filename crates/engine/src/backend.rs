@@ -1,4 +1,5 @@
-//! The [`Backend`] trait and the shared run driver every backend uses.
+//! The [`Backend`] trait, and [`drive`], the one run loop the backends'
+//! [`Stepper`]s share.
 
 use crate::observer::{Observer, ObserverSpec, StepRecord};
 use crate::report::RunReport;
@@ -88,115 +89,113 @@ pub(crate) fn stop_reason(
     }
 }
 
-/// Shared driver state: stop-condition evaluation, observer dispatch and
-/// report assembly. Backends own the stepping; everything else lives here so
-/// every backend honors a scenario identically. The one exception is the
-/// two-species jump chain, which runs [`stop_reason`] inside the fused
-/// `lv_lotka::run_jump_chain` kernel and builds its observations from the
-/// kernel's tallies (the engine's proptests hold the two to the same
-/// reports).
-pub(crate) struct Driver<'a> {
-    scenario: &'a Scenario,
-    observers: Vec<(ObserverSpec, Box<dyn Observer>)>,
-    /// Current counts, one per species.
-    state: Vec<u64>,
-    /// Staging buffer for the after-step counts (swapped with `state` after
-    /// observers run, so recording never allocates).
-    staging: Vec<u64>,
-    events: u64,
-    steps: u64,
-    time: f64,
+/// The most interactions the next step may take: what the event budget has
+/// left, and the fewest that reach the time budget (the protocol clock
+/// counts interactions). At least one once the stop check has passed.
+fn interaction_budget(stop: &StopCondition, events: u64, time: f64) -> u64 {
+    let by_events = stop.max_events().map_or(u64::MAX, |max| max - events);
+    // The cast saturates: a time budget beyond `u64::MAX` interactions
+    // bounds nothing.
+    let by_time = stop
+        .max_time()
+        .map_or(u64::MAX, |max| (max - time).ceil().max(1.0) as u64);
+    by_events.min(by_time)
 }
 
-impl<'a> Driver<'a> {
-    pub(crate) fn new(scenario: &'a Scenario) -> Self {
-        let initial = scenario.initial();
-        let mut observers: Vec<(ObserverSpec, Box<dyn Observer>)> = scenario
-            .observers()
-            .iter()
-            .map(|spec| (*spec, spec.build()))
-            .collect();
-        for (_, observer) in &mut observers {
-            observer.on_start(initial);
+/// One step taken by a [`Stepper`].
+pub(crate) struct Step<'a> {
+    /// The reaction that fired, when the step resolved a single event.
+    pub(crate) event: Option<PopulationEvent>,
+    /// Species counts after the step.
+    pub(crate) counts: &'a [u64],
+    /// The backend clock after the step.
+    pub(crate) time: f64,
+    /// Reaction firings (protocol interactions) the step represents.
+    pub(crate) fired: u64,
+}
+
+/// A backend's state machine, advanced one step at a time by [`drive`].
+pub(crate) trait Stepper {
+    /// Whether steps schedule pairs of agents. Fewer than two agents then
+    /// admit no step at all, so [`drive`] ends such runs as absorbed without
+    /// building the stepper.
+    const PAIRWISE: bool = false;
+
+    /// Takes one step, or says why no step can follow —
+    /// [`StopReason::Absorbed`] when no step can change the state. Steppers
+    /// that batch interactions keep a step within `budget` of them.
+    fn advance(&mut self, budget: u64) -> Result<Step<'_>, StopReason>;
+}
+
+/// The run loop of every backend but the two-species jump chain (which runs
+/// [`stop_reason`] inside the fused `lv_lotka::run_jump_chain` kernel):
+/// check the stop condition and budgets, advance the stepper under the
+/// [`interaction_budget`], feed the step to the scenario's observers, and
+/// repeat until the stop condition holds or the stepper ends the run.
+/// `build` runs only for runs that pass the start checks.
+pub(crate) fn drive<S: Stepper>(
+    name: &'static str,
+    scenario: &Scenario,
+    build: impl FnOnce() -> S,
+) -> RunReport {
+    let initial = scenario.initial();
+    let stop = scenario.stop();
+    let mut observers: Vec<(ObserverSpec, Box<dyn Observer>)> = scenario
+        .observers()
+        .iter()
+        .map(|spec| (*spec, spec.build()))
+        .collect();
+    for (_, observer) in &mut observers {
+        observer.on_start(initial);
+    }
+    let mut state = initial.counts().to_vec();
+    let (mut events, mut steps, mut time) = (0u64, 0u64, 0.0f64);
+    let reason = match stop_reason(stop, &state, events, time) {
+        Some(reason) => reason,
+        // No pair can ever be scheduled: an absorbed state in every
+        // backend's vocabulary.
+        None if S::PAIRWISE && initial.total() < 2 => StopReason::Absorbed,
+        None => {
+            let mut stepper = build();
+            loop {
+                let step = match stepper.advance(interaction_budget(stop, events, time)) {
+                    Ok(step) => step,
+                    Err(reason) => break reason,
+                };
+                let record = StepRecord {
+                    event: step.event,
+                    before: &state,
+                    after: step.counts,
+                    time: step.time,
+                    firings: step.fired,
+                };
+                for (_, observer) in &mut observers {
+                    observer.on_step(&record);
+                }
+                state.copy_from_slice(step.counts);
+                events += step.fired;
+                steps += 1;
+                time = step.time;
+                if let Some(reason) = stop_reason(stop, &state, events, time) {
+                    break reason;
+                }
+            }
         }
-        let counts = initial.counts().to_vec();
-        Driver {
-            scenario,
-            observers,
-            staging: counts.clone(),
-            state: counts,
-            events: 0,
-            steps: 0,
-            time: 0.0,
-        }
-    }
-
-    /// Reaction firings so far.
-    pub(crate) fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Driver steps so far (leaps/integration steps for aggregating
-    /// backends).
-    pub(crate) fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Checks the scenario's stop condition and budgets; see
-    /// [`stop_reason`].
-    pub(crate) fn check_stop(&self) -> Option<StopReason> {
-        stop_reason(self.scenario.stop(), &self.state, self.events, self.time)
-    }
-
-    /// Records one completed step: advances the clocks, updates the tracked
-    /// state and notifies every observer.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `after` has the wrong species count.
-    pub(crate) fn record(
-        &mut self,
-        event: Option<PopulationEvent>,
-        after: &[u64],
-        time: f64,
-        firings: u64,
-    ) {
-        debug_assert_eq!(after.len(), self.state.len());
-        self.staging.copy_from_slice(after);
-        let record = StepRecord {
-            event,
-            before: &self.state,
-            after: &self.staging,
-            time,
-            firings,
-        };
-        for (_, observer) in &mut self.observers {
-            observer.on_step(&record);
-        }
-        std::mem::swap(&mut self.state, &mut self.staging);
-        self.events += firings;
-        self.steps += 1;
-        self.time = time;
-    }
-
-    /// Finalizes every observer and assembles the report.
-    pub(crate) fn finish(mut self, backend: &'static str, reason: StopReason) -> RunReport {
-        let observations = self
-            .observers
-            .iter_mut()
-            .map(|(spec, observer)| (*spec, observer.finish()))
-            .collect();
-        RunReport::new(
-            backend,
-            self.scenario.initial().clone(),
-            Population::new(self.state),
-            reason,
-            self.events,
-            self.steps,
-            self.time,
-            observations,
-        )
-    }
+    };
+    let observations = observers
+        .iter_mut()
+        .map(|(spec, observer)| (*spec, observer.finish()))
+        .collect();
+    RunReport::new(
+        name,
+        initial.clone(),
+        Population::new(state),
+        reason,
+        events,
+        steps,
+        time,
+        observations,
+    )
 }
 
 #[cfg(test)]
@@ -227,36 +226,46 @@ mod tests {
         }
     }
 
+    /// Replays scripted `(counts, time)` steps, then reports absorption.
+    struct Scripted {
+        script: std::vec::IntoIter<(Vec<u64>, f64)>,
+        counts: Vec<u64>,
+    }
+
+    impl Stepper for Scripted {
+        fn advance(&mut self, _budget: u64) -> Result<Step<'_>, StopReason> {
+            let (counts, time) = self.script.next().ok_or(StopReason::Absorbed)?;
+            self.counts = counts;
+            Ok(Step {
+                event: Some(PopulationEvent::Interspecific {
+                    attacker: 0,
+                    victim: 1,
+                }),
+                counts: &self.counts,
+                time,
+                fired: 1,
+            })
+        }
+    }
+
     #[test]
     fn driver_tracks_multi_species_state_and_stops_at_consensus() {
         let model = MultiLvModel::symmetric(CompetitionKind::SelfDestructive, 3, 1.0, 1.0, 1.0);
         let scenario = Scenario::plurality(model, vec![4, 2, 0]);
-        let mut driver = Driver::new(&scenario);
-        // Not yet consensus: two species alive.
-        assert_eq!(driver.check_stop(), None);
-        driver.record(
-            Some(PopulationEvent::Interspecific {
-                attacker: 0,
-                victim: 1,
-            }),
-            &[3, 1, 0],
-            1.0,
-            1,
-        );
-        assert_eq!(driver.check_stop(), None);
-        driver.record(
-            Some(PopulationEvent::Interspecific {
-                attacker: 0,
-                victim: 1,
-            }),
-            &[2, 0, 0],
-            2.0,
-            1,
-        );
-        assert_eq!(driver.check_stop(), Some(StopReason::ConditionMet));
-        assert_eq!(driver.events(), 2);
-        assert_eq!(driver.steps(), 2);
-        let report = driver.finish("test", StopReason::ConditionMet);
+        // Consensus after the second step: the third is never taken.
+        let script = vec![
+            (vec![3, 1, 0], 1.0),
+            (vec![2, 0, 0], 2.0),
+            (vec![9, 9, 9], 3.0),
+        ];
+        let report = drive("test", &scenario, || Scripted {
+            script: script.into_iter(),
+            counts: Vec::new(),
+        });
+        assert_eq!(report.reason, StopReason::ConditionMet);
+        assert_eq!(report.events, 2);
+        assert_eq!(report.steps, 2);
+        assert_eq!(report.time, 2.0);
         assert_eq!(report.final_state.counts(), &[2, 0, 0]);
         assert_eq!(report.final_state.winner(), Some(0));
     }

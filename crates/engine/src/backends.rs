@@ -2,7 +2,7 @@
 //! CRN simulators, and the deterministic ODE — all defined over `k`-species
 //! scenarios.
 
-use crate::backend::{stop_reason, Backend, Driver};
+use crate::backend::{drive, stop_reason, Backend, Step, Stepper};
 use crate::observer::{EventCounts, NoiseObservation, Observation, ObserverSpec};
 use crate::report::RunReport;
 use crate::scenario::{Scenario, ScenarioModel};
@@ -48,8 +48,10 @@ impl Backend for JumpChainBackend {
                 // chain; only the two-species case has a faster specialised
                 // stepper.
                 let crn = scenario.crn_form();
-                let mut sim = JumpChain::new(&crn.network, initial_state(scenario), rng);
-                return drive_crn(self.name(), scenario, &mut sim, &crn.events);
+                return drive(self.name(), scenario, || Crn {
+                    sim: JumpChain::new(&crn.network, initial_state(scenario), rng),
+                    events: &crn.events,
+                });
             }
         };
         let initial = scenario
@@ -106,33 +108,31 @@ impl Backend for JumpChainBackend {
     }
 }
 
-/// Drives any generic CRN simulator through the shared [`Driver`].
-fn drive_crn<S: StochasticSimulator>(
-    name: &'static str,
-    scenario: &Scenario,
-    sim: &mut S,
-    event_map: &[PopulationEvent],
-) -> RunReport {
-    let mut driver = Driver::new(scenario);
-    loop {
-        if let Some(reason) = driver.check_stop() {
-            return driver.finish(name, reason);
-        }
-        let events_before = sim.events();
-        match sim.step() {
-            Some(event) => {
-                let firings = sim.events() - events_before;
-                // A step representing exactly one firing is a resolved event;
-                // multi-firing leaps (and empty leaps, which report no
-                // reaction at all) stay unclassified.
-                let lv_event = match event.reaction {
-                    Some(reaction) if firings == 1 => Some(event_map[reaction.index()]),
-                    _ => None,
-                };
-                driver.record(lv_event, sim.state().counts(), sim.time(), firings);
-            }
-            None => return driver.finish(name, StopReason::Absorbed),
-        }
+/// Any generic CRN simulator as a [`Stepper`], its reactions mapped onto
+/// LV events.
+struct Crn<'a, S> {
+    sim: S,
+    events: &'a [PopulationEvent],
+}
+
+impl<S: StochasticSimulator> Stepper for Crn<'_, S> {
+    fn advance(&mut self, _budget: u64) -> Result<Step<'_>, StopReason> {
+        let events_before = self.sim.events();
+        let event = self.sim.step().ok_or(StopReason::Absorbed)?;
+        let fired = self.sim.events() - events_before;
+        // A step representing exactly one firing is a resolved event;
+        // multi-firing leaps (and empty leaps, which report no reaction at
+        // all) stay unclassified.
+        let event = match event.reaction {
+            Some(reaction) if fired == 1 => Some(self.events[reaction.index()]),
+            _ => None,
+        };
+        Ok(Step {
+            event,
+            counts: self.sim.state().counts(),
+            time: self.sim.time(),
+            fired,
+        })
     }
 }
 
@@ -161,8 +161,10 @@ impl Backend for GillespieDirectBackend {
 
     fn run(&self, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
         let crn = scenario.crn_form();
-        let mut sim = GillespieDirect::new(&crn.network, initial_state(scenario), rng);
-        drive_crn(self.name(), scenario, &mut sim, &crn.events)
+        drive(self.name(), scenario, || Crn {
+            sim: GillespieDirect::new(&crn.network, initial_state(scenario), rng),
+            events: &crn.events,
+        })
     }
 }
 
@@ -186,8 +188,10 @@ impl Backend for NextReactionBackend {
 
     fn run(&self, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
         let crn = scenario.crn_form();
-        let mut sim = NextReaction::new(&crn.network, initial_state(scenario), rng);
-        drive_crn(self.name(), scenario, &mut sim, &crn.events)
+        drive(self.name(), scenario, || Crn {
+            sim: NextReaction::new(&crn.network, initial_state(scenario), rng),
+            events: &crn.events,
+        })
     }
 }
 
@@ -211,8 +215,10 @@ impl Backend for TauLeapingBackend {
 
     fn run(&self, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
         let crn = scenario.crn_form();
-        let mut sim = TauLeaping::new(&crn.network, initial_state(scenario), scenario.tau(), rng);
-        drive_crn(self.name(), scenario, &mut sim, &crn.events)
+        drive(self.name(), scenario, || Crn {
+            sim: TauLeaping::new(&crn.network, initial_state(scenario), scenario.tau(), rng),
+            events: &crn.events,
+        })
     }
 }
 
@@ -345,57 +351,80 @@ impl Backend for OdeBackend {
     }
 }
 
-/// The shared ODE driver loop, parameterised over the derivative and the
-/// RK4 step (two-species const-generic path vs `k`-species dynamic path —
-/// identical control flow, so both truncate, adapt and round the same way).
+/// The shared ODE run, parameterised over the derivative and the RK4 step
+/// (two-species const-generic path vs `k`-species dynamic path — identical
+/// control flow, so both truncate, adapt and round the same way).
 fn run_ode(
     name: &'static str,
     scenario: &Scenario,
-    mut derivative: impl FnMut(&[f64], &mut [f64]),
-    mut rk4_step: impl FnMut(&mut [f64], f64),
+    derivative: impl FnMut(&[f64], &mut [f64]),
+    rk4_step: impl FnMut(&mut [f64], f64),
 ) -> RunReport {
-    let step_cap = scenario.ode_step();
-    let horizon = scenario
-        .stop()
-        .max_time()
-        .unwrap_or_else(|| scenario.ode_horizon());
-    let mut y: Vec<f64> = scenario
-        .initial()
-        .counts()
-        .iter()
-        .map(|&c| c as f64)
-        .collect();
-    let mut dy = vec![0.0; y.len()];
-    let mut counts = vec![0u64; y.len()];
-    let mut t = 0.0;
-    let mut driver = Driver::new(scenario);
-    loop {
-        if let Some(reason) = driver.check_stop() {
-            return driver.finish(name, reason);
+    drive(name, scenario, || {
+        let counts = scenario.initial().counts().to_vec();
+        Ode {
+            scenario,
+            derivative,
+            rk4_step,
+            y: counts.iter().map(|&c| c as f64).collect(),
+            dy: vec![0.0; counts.len()],
+            counts,
+            t: 0.0,
+            steps: 0,
         }
+    })
+}
+
+/// The ODE integration as a [`Stepper`]: one adaptive RK4 step per step.
+struct Ode<'a, D, R> {
+    scenario: &'a Scenario,
+    derivative: D,
+    rk4_step: R,
+    y: Vec<f64>,
+    dy: Vec<f64>,
+    counts: Vec<u64>,
+    t: f64,
+    steps: u64,
+}
+
+impl<D: FnMut(&[f64], &mut [f64]), R: FnMut(&mut [f64], f64)> Stepper for Ode<'_, D, R> {
+    fn advance(&mut self, _budget: u64) -> Result<Step<'_>, StopReason> {
+        let stop = self.scenario.stop();
         // No reactions fire here, so the event budget (always vacuous on
-        // `driver.events()`) bounds integration steps instead — without
-        // this a scenario budgeted only by `max_events` would silently
-        // run to the horizon.
-        if let Some(max_events) = scenario.stop().max_events() {
-            if driver.steps() >= max_events {
-                return driver.finish(name, StopReason::MaxEventsReached);
-            }
+        // the run's event count) bounds integration steps instead — without
+        // this a scenario budgeted only by `max_events` would silently run
+        // to the horizon.
+        if stop.max_events().is_some_and(|max| self.steps >= max) {
+            return Err(StopReason::MaxEventsReached);
         }
-        if t >= horizon {
-            return driver.finish(name, StopReason::MaxTimeReached);
+        let horizon = stop
+            .max_time()
+            .unwrap_or_else(|| self.scenario.ode_horizon());
+        if self.t >= horizon {
+            return Err(StopReason::MaxTimeReached);
         }
-        derivative(&y, &mut dy);
-        let h = adaptive_step(&y, &dy, step_cap, horizon - t);
-        rk4_step(&mut y, h);
-        for value in y.iter_mut() {
+        (self.derivative)(&self.y, &mut self.dy);
+        let h = adaptive_step(
+            &self.y,
+            &self.dy,
+            self.scenario.ode_step(),
+            horizon - self.t,
+        );
+        (self.rk4_step)(&mut self.y, h);
+        for value in self.y.iter_mut() {
             *value = value.max(0.0);
         }
-        t += h;
-        for (count, &value) in counts.iter_mut().zip(&y) {
+        self.t += h;
+        for (count, &value) in self.counts.iter_mut().zip(&self.y) {
             *count = rounded_count(value);
         }
-        driver.record(None, &counts, t, 0);
+        self.steps += 1;
+        Ok(Step {
+            event: None,
+            counts: &self.counts,
+            time: self.t,
+            fired: 0,
+        })
     }
 }
 

@@ -28,7 +28,8 @@ use serde::{Deserialize, Serialize};
 /// leaps, ODE integration steps) produce one record per *step* with
 /// `event = None` and `firings` equal to the number of reaction firings the
 /// step represents (0 for the ODE). The count slices are borrowed from the
-/// driver's buffers, so recording a step never allocates regardless of `k`.
+/// run's and the backend's buffers, so recording a step never allocates
+/// regardless of `k`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepRecord<'a> {
     /// The reaction that fired, when the backend resolves individual events.

@@ -44,9 +44,14 @@
 //! [`ProtocolSimulation`] loops; [`Backend::batched`] reports which
 //! execution mode a backend uses.
 //!
+//! Each execution mode is a `Stepper` that only advances its state and
+//! reports absorption; the engine's one run loop, `drive`, owns the stop
+//! checks, the start of fewer than two agents, the interaction budget of
+//! every step, observer dispatch and the report.
+//!
 //! [`StepRecord`]: crate::StepRecord
 
-use crate::backend::{Backend, Driver};
+use crate::backend::{drive, Backend, Step, Stepper};
 use crate::report::RunReport;
 use crate::scenario::Scenario;
 use lv_crn::StopReason;
@@ -135,7 +140,7 @@ fn run_two_opinion_protocol<P, M>(
     name: &'static str,
     scenario: &Scenario,
     rng: &mut StdRng,
-    mut monitor: M,
+    monitor: M,
 ) -> RunReport
 where
     P: PopulationProtocol,
@@ -147,50 +152,58 @@ where
         "the {name} backend runs two-species scenarios only"
     );
     let initial = scenario.initial();
-    let (a, b) = (initial.count(0), initial.count(1));
-    let mut driver = Driver::new(scenario);
-    // Degenerate starts must stop before the first interaction, like every
-    // other backend.
-    if let Some(reason) = driver.check_stop() {
-        return driver.finish(name, reason);
-    }
-    // The pairwise scheduler cannot run on fewer than two agents: no
-    // interaction can ever fire, which is an absorbed state in every
-    // backend's vocabulary.
-    if a + b < 2 {
-        return driver.finish(name, StopReason::Absorbed);
-    }
-    let mut sim = ProtocolSimulation::new(protocol, a, b);
-    loop {
-        if let Some(reason) = driver.check_stop() {
-            return driver.finish(name, reason);
+    drive(name, scenario, || AgentList {
+        sim: ProtocolSimulation::new(protocol, initial.count(0), initial.count(1)),
+        protocol,
+        monitor,
+        rng,
+        opinions: [0; 2],
+    })
+}
+
+struct AgentList<'a, P: PopulationProtocol, M> {
+    sim: ProtocolSimulation<'a, P>,
+    protocol: &'a P,
+    monitor: M,
+    rng: &'a mut StdRng,
+    opinions: [u64; 2],
+}
+
+impl<P: PopulationProtocol, M: ProtocolMonitor<P>> Stepper for AgentList<'_, P, M> {
+    const PAIRWISE: bool = true;
+
+    fn advance(&mut self, _budget: u64) -> Result<Step<'_>, StopReason> {
+        if self.monitor.absorbed(&self.sim) {
+            return Err(StopReason::Absorbed);
         }
-        if monitor.absorbed(&sim) {
-            return driver.finish(name, StopReason::Absorbed);
-        }
-        let interaction = sim.step(rng);
-        monitor.observe(&interaction);
-        let (after_a, after_b) = sim.opinion_counts();
-        // Classify the interaction for the observers by the agents' output
-        // transitions. Protocol rules may change either agent — the
-        // exact-majority strong-recruits-weak rule flips the *initiator*
-        // when the weak agent is scheduled first — so both sides are
-        // considered (at most one output changes in the built-in protocols).
+        let interaction = self.sim.step(self.rng);
+        self.monitor.observe(&interaction);
+        let (a, b) = self.sim.opinion_counts();
+        self.opinions = [a, b];
+        // Protocol rules may change either agent — the exact-majority
+        // strong-recruits-weak rule flips the *initiator* when the weak
+        // agent is scheduled first — so `classify` considers both sides.
+        let protocol = self.protocol;
         let event = classify(
             protocol.output(interaction.initiator_before).map(species),
             protocol.output(interaction.initiator_after).map(species),
             protocol.output(interaction.responder_before).map(species),
             protocol.output(interaction.responder_after).map(species),
         );
-        driver.record(event, &[after_a, after_b], sim.interactions() as f64, 1);
+        Ok(Step {
+            event,
+            counts: &self.opinions,
+            time: self.sim.interactions() as f64,
+            fired: 1,
+        })
     }
 }
 
 /// Runs compiled [`CountedDynamics`] as an execution backend: count-based
 /// state, batched epochs above [`BATCH_MIN_POPULATION`] agents, exact
 /// single-stepping below it and whenever a sampled epoch would overrun the
-/// event budget. Single steps report classified per-event records exactly
-/// like the agent-list path; epochs report one aggregated record
+/// interaction budget. Single steps report classified per-event records
+/// exactly like the agent-list path; epochs report one aggregated record
 /// (`event = None`, `firings` = epoch length).
 fn run_counted(
     dynamics: &CountedDynamics,
@@ -204,56 +217,56 @@ fn run_counted(
         "the {name} backend cannot run {}-species scenarios",
         scenario.species_count()
     );
-    let mut driver = Driver::new(scenario);
-    if let Some(reason) = driver.check_stop() {
-        return driver.finish(name, reason);
-    }
-    let initial = scenario.initial();
-    if initial.total() < 2 {
-        return driver.finish(name, StopReason::Absorbed);
-    }
-    let mut sim = CountedSimulation::new(dynamics, initial.counts());
-    let mut opinions = vec![0u64; dynamics.species_count()];
-    loop {
-        if let Some(reason) = driver.check_stop() {
-            return driver.finish(name, reason);
+    drive(name, scenario, || Counted {
+        sim: CountedSimulation::new(dynamics, scenario.initial().counts()),
+        dynamics,
+        rng,
+        opinions: vec![0; dynamics.species_count()],
+    })
+}
+
+struct Counted<'a> {
+    sim: CountedSimulation<'a>,
+    dynamics: &'a CountedDynamics,
+    rng: &'a mut StdRng,
+    opinions: Vec<u64>,
+}
+
+impl Stepper for Counted<'_> {
+    const PAIRWISE: bool = true;
+
+    fn advance(&mut self, budget: u64) -> Result<Step<'_>, StopReason> {
+        if self.sim.is_absorbed() {
+            return Err(StopReason::Absorbed);
         }
-        if sim.is_absorbed() {
-            return driver.finish(name, StopReason::Absorbed);
-        }
-        // check_stop just passed, so the budget has at least one event left.
-        let mut remaining = scenario
-            .stop()
-            .max_events()
-            .map_or(u64::MAX, |max| max - driver.events());
-        if let Some(max_time) = scenario.stop().max_time() {
-            // The protocol clock *is* the interaction count, so a time
-            // budget is an interaction budget: the smallest number of
-            // further interactions m with interactions + m ≥ max_time.
-            let more = (max_time - sim.interactions() as f64).ceil().max(1.0);
-            if more < u64::MAX as f64 {
-                remaining = remaining.min(more as u64);
+        let epoch = if self.sim.total() >= BATCH_MIN_POPULATION {
+            self.sim.step_epoch(self.rng, budget)
+        } else {
+            None
+        };
+        // A refused epoch would have overrun the budget; the run ends within
+        // `budget` interactions either way, so it finishes one exact
+        // interaction at a time (no bias in the truncated prefix).
+        let (event, fired) = match epoch {
+            Some(fired) => (None, fired),
+            None => {
+                let interaction = self.sim.step(self.rng);
+                let event = classify(
+                    self.dynamics.output(interaction.initiator_before),
+                    self.dynamics.output(interaction.initiator_after),
+                    self.dynamics.output(interaction.responder_before),
+                    self.dynamics.output(interaction.responder_after),
+                );
+                (event, 1)
             }
-        }
-        if sim.total() >= BATCH_MIN_POPULATION {
-            if let Some(fired) = sim.step_epoch(rng, remaining) {
-                sim.opinion_counts_into(&mut opinions);
-                driver.record(None, &opinions, sim.interactions() as f64, fired);
-                continue;
-            }
-            // The sampled epoch would overrun the event budget; the run ends
-            // within `remaining` interactions either way, so finish it one
-            // exact interaction at a time (no bias in the truncated prefix).
-        }
-        let interaction = sim.step(rng);
-        sim.opinion_counts_into(&mut opinions);
-        let event = classify(
-            dynamics.output(interaction.initiator_before),
-            dynamics.output(interaction.initiator_after),
-            dynamics.output(interaction.responder_before),
-            dynamics.output(interaction.responder_after),
-        );
-        driver.record(event, &opinions, sim.interactions() as f64, 1);
+        };
+        self.sim.opinion_counts_into(&mut self.opinions);
+        Ok(Step {
+            event,
+            counts: &self.opinions,
+            time: self.sim.interactions() as f64,
+            fired,
+        })
     }
 }
 
@@ -267,37 +280,25 @@ fn run_counted(
 /// counts, so `max_events` is honored to the interaction, exactly like the
 /// epoch refusal of [`run_counted`].
 fn run_bridged(name: &'static str, scenario: &Scenario, rng: &mut StdRng) -> RunReport {
-    let mut driver = Driver::new(scenario);
-    if let Some(reason) = driver.check_stop() {
-        return driver.finish(name, reason);
-    }
-    let initial = scenario.initial();
-    if initial.total() < 2 {
-        return driver.finish(name, StopReason::Absorbed);
-    }
-    let mut walk = BridgedConversionWalk::new(initial.counts());
-    loop {
-        if let Some(reason) = driver.check_stop() {
-            return driver.finish(name, reason);
+    drive(name, scenario, || Bridged {
+        walk: BridgedConversionWalk::new(scenario.initial().counts()),
+        rng,
+    })
+}
+
+struct Bridged<'a> {
+    walk: BridgedConversionWalk,
+    rng: &'a mut StdRng,
+}
+
+impl Stepper for Bridged<'_> {
+    const PAIRWISE: bool = true;
+
+    fn advance(&mut self, budget: u64) -> Result<Step<'_>, StopReason> {
+        if self.walk.is_absorbed() {
+            return Err(StopReason::Absorbed);
         }
-        if walk.is_absorbed() {
-            return driver.finish(name, StopReason::Absorbed);
-        }
-        // check_stop just passed, so the budget has at least one event left.
-        let mut remaining = scenario
-            .stop()
-            .max_events()
-            .map_or(u64::MAX, |max| max - driver.events());
-        if let Some(max_time) = scenario.stop().max_time() {
-            // The protocol clock *is* the interaction count (see
-            // `run_counted`).
-            let more = (max_time - walk.interactions() as f64).ceil().max(1.0);
-            if more < u64::MAX as f64 {
-                remaining = remaining.min(more as u64);
-            }
-        }
-        let step = walk.advance(rng, remaining);
-        let time = walk.interactions() as f64;
+        let step = self.walk.advance(self.rng, budget);
         let event = match step {
             BridgeStep::Exact {
                 fired: 1,
@@ -306,7 +307,12 @@ fn run_bridged(name: &'static str, scenario: &Scenario, rng: &mut StdRng) -> Run
             } => Some(PopulationEvent::Interspecific { attacker, victim }),
             _ => None,
         };
-        driver.record(event, walk.counts(), time, step.fired());
+        Ok(Step {
+            event,
+            counts: self.walk.counts(),
+            time: self.walk.interactions() as f64,
+            fired: step.fired(),
+        })
     }
 }
 

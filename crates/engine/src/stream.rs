@@ -150,9 +150,8 @@ impl StreamConfig {
     ///
     /// * **Physical cores** — threads beyond the machine's available
     ///   parallelism time-slice the same cores; they add channel and queue
-    ///   traffic without adding throughput (BENCH_7 measured the 512-trial
-    ///   success-probability batch *slower* at 4 threads than at 1 on a
-    ///   single-core host for exactly this reason).
+    ///   traffic without adding throughput, so on a single-core host a batch
+    ///   run at 4 threads is *slower* than at 1.
     /// * **Flush chunks** — cheap trials are delivered in chunks of
     ///   [`FLUSH_TRIALS`], so a batch of `scheduled` trials holds at most
     ///   `⌈scheduled / FLUSH_TRIALS⌉` chunks of per-worker work worth

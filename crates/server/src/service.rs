@@ -31,7 +31,7 @@ use crate::proto::{
 use crate::spec::ScenarioSpec;
 use crate::sync;
 use lv_engine::wilson;
-use lv_sim::{GapProbe, GapScenario, Seed, ThresholdResult};
+use lv_sim::{lattice_search, GapProbe, GapScenario, Seed, ThresholdResult};
 use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -345,9 +345,10 @@ impl ThresholdService {
         })
     }
 
-    /// Answers a `Threshold`: the doubling-then-binary lattice search of
-    /// [`lv_sim::ThresholdSearch::find_gap`], with every probe memoized as
-    /// a surface cell — a repeated search re-reads its probes from cache.
+    /// Answers a `Threshold`: the shared [`lv_sim::lattice_search`] that
+    /// [`lv_sim::ThresholdSearch::find_gap`] also runs, with every probe
+    /// memoized as a surface cell — a repeated search re-reads its probes
+    /// from cache.
     pub fn threshold(&self, request: &ThresholdRequest) -> Result<ThresholdResponse, ServiceError> {
         let spec = request.spec.clone().validated()?;
         let family = spec.family(request.n)?;
@@ -357,14 +358,11 @@ impl ThresholdService {
         } else {
             request.trials
         };
-        if budget <= 3 {
-            return Err(ServiceError::bad_request(format!(
-                "a threshold search needs more than 3 trials per probe, got {budget}"
-            )));
-        }
         let n = request.n;
+        let default_target =
+            lv_sim::default_target(n, budget).map_err(ServiceError::bad_request)?;
         let target = if request.target == 0.0 {
-            (1.0 - 1.0 / n as f64).min(1.0 - 3.0 / budget as f64)
+            default_target
         } else if request.target > 0.0 && request.target < 1.0 {
             request.target
         } else {
@@ -375,84 +373,39 @@ impl ThresholdService {
         };
 
         let (min_gap, stride, max_gap) = (family.min_gap(), family.stride(), family.max_gap());
-        let max_index = (max_gap - min_gap) / stride;
         let gap_at = |index: u64| min_gap + index * stride;
         let mut fresh_total = 0u64;
-        let mut probes: Vec<GapProbe> = Vec::new();
-        let run = |index: u64,
-                   probes: &mut Vec<GapProbe>,
-                   fresh_total: &mut u64|
-         -> Result<GapProbe, ServiceError> {
-            let (stats, fresh) =
-                self.probe_cell(&spec, fingerprint, n, gap_at(index), target, budget)?;
-            *fresh_total += fresh;
-            let probe = GapProbe {
-                gap: gap_at(index),
-                trials: stats.trials,
-                successes: stats.successes,
-                estimate: stats.point(),
-                reached_target: stats.point() >= target,
-            };
-            probes.push(probe);
-            Ok(probe)
-        };
-
-        let finish = |threshold_index: u64,
-                      at: GapProbe,
-                      saturated: bool,
-                      probes: Vec<GapProbe>,
-                      fresh_total: u64| {
-            ThresholdResponse {
-                fingerprint: spec.fingerprint_hex(),
-                result: ThresholdResult {
-                    n,
-                    species: family.species_count(),
-                    backend: spec.backend.clone(),
-                    threshold: gap_at(threshold_index),
-                    target,
-                    success_at_threshold: at.estimate,
-                    saturated,
-                    probes,
-                },
-                fresh_trials: fresh_total,
-            }
-        };
-
-        let mut upper = 0u64;
-        let mut at_upper = run(0, &mut probes, &mut fresh_total)?;
-        if !at_upper.reached_target {
-            let mut lower;
-            loop {
-                lower = upper;
-                if upper == max_index {
-                    let response = finish(max_index, at_upper, true, probes, fresh_total);
-                    self.count_request(fresh_total);
-                    return Ok(response);
-                }
-                upper = if upper == 0 {
-                    1
-                } else {
-                    (upper * 2).min(max_index)
+        let mut probes = Vec::new();
+        let (index, at_threshold, saturated) =
+            lattice_search((max_gap - min_gap) / stride, |index| {
+                let gap = gap_at(index);
+                let (stats, fresh) = self.probe_cell(&spec, fingerprint, n, gap, target, budget)?;
+                fresh_total += fresh;
+                let probe = GapProbe {
+                    gap,
+                    trials: stats.trials,
+                    successes: stats.successes,
+                    estimate: stats.point(),
+                    reached_target: stats.point() >= target,
                 };
-                at_upper = run(upper, &mut probes, &mut fresh_total)?;
-                if at_upper.reached_target {
-                    break;
-                }
-            }
-            while upper - lower > 1 {
-                let mid = lower + (upper - lower) / 2;
-                let at_mid = run(mid, &mut probes, &mut fresh_total)?;
-                if at_mid.reached_target {
-                    upper = mid;
-                    at_upper = at_mid;
-                } else {
-                    lower = mid;
-                }
-            }
-        }
-        let response = finish(upper, at_upper, false, probes, fresh_total);
+                probes.push(probe);
+                Ok::<_, ServiceError>(probe)
+            })?;
         self.count_request(fresh_total);
-        Ok(response)
+        Ok(ThresholdResponse {
+            fingerprint: spec.fingerprint_hex(),
+            result: ThresholdResult {
+                n,
+                species: family.species_count(),
+                backend: spec.backend.clone(),
+                threshold: gap_at(index),
+                target,
+                success_at_threshold: at_threshold.estimate,
+                saturated,
+                probes,
+            },
+            fresh_trials: fresh_total,
+        })
     }
 
     /// Answers a `SweepSurface`: every requested `(n, gap)` snapped to the

@@ -247,6 +247,54 @@ fn threshold_searches_are_memoized_cell_by_cell() {
     assert_eq!(second.result, first.result);
 }
 
+/// A model without interspecific competition never reaches the target:
+/// the served search saturates at the largest feasible gap, as
+/// `ThresholdSearch` does, and the repeat is still a pure cache hit.
+#[test]
+fn saturated_threshold_searches_end_at_the_largest_feasible_gap() {
+    let service = service();
+    let request = ThresholdRequest {
+        spec: ScenarioSpec::two_species(
+            LvModel::intraspecific_only(CompetitionKind::SelfDestructive, 1.0, 1.0, 1.0),
+            "jump-chain",
+        ),
+        n: 60,
+        target: 0.0,
+        trials: 80,
+    };
+    let first = service.threshold(&request).unwrap();
+    let result = &first.result;
+    assert!(result.saturated, "expected saturation, got {result}");
+    assert_eq!(result.threshold, 58, "n - 2 is the largest feasible gap");
+    let last = result.probes.last().unwrap();
+    assert_eq!(last.gap, 58);
+    assert!(!last.reached_target);
+    assert!(result.probes.iter().all(|probe| !probe.reached_target));
+    assert_eq!(result.success_at_threshold, last.estimate);
+
+    let second = service.threshold(&request).unwrap();
+    assert_eq!(second.fresh_trials, 0);
+    assert_eq!(second.result, first.result);
+}
+
+/// Three or fewer trials per probe make the default target vacuous: the
+/// request is refused as a typed bad request, not a panic.
+#[test]
+fn vacuous_probe_budgets_are_bad_requests() {
+    let service = service();
+    for trials in 1..=3 {
+        let err = service
+            .threshold(&ThresholdRequest {
+                spec: spec(),
+                n: 128,
+                target: 0.0,
+                trials,
+            })
+            .unwrap_err();
+        assert_eq!(err.code(), "bad-request");
+    }
+}
+
 #[test]
 fn sweeps_snap_dedupe_and_memoize() {
     let service = service();

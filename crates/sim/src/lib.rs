@@ -61,7 +61,8 @@ pub use montecarlo::{
 pub use scaling::{ScalingFit, ScalingLaw};
 pub use seed::Seed;
 pub use threshold::{
-    GapProbe, GapScenario, PluralityGap, ThresholdResult, ThresholdSearch, TwoSpeciesGap,
+    default_target, lattice_search, GapProbe, GapScenario, PluralityGap, ThresholdResult,
+    ThresholdSearch, TwoSpeciesGap,
 };
 // The streaming vocabulary used by `MonteCarlo`'s batch API, re-exported so
 // estimator callers need not depend on `lv_engine` directly.

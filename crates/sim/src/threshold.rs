@@ -36,6 +36,7 @@ use lv_engine::stream::EarlyStop;
 use lv_engine::Scenario;
 use lv_lotka::{LvModel, MultiLvModel};
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 use std::fmt;
 
 /// A family of scenarios over one population size, indexed by the initial
@@ -364,13 +365,73 @@ impl fmt::Display for ThresholdResult {
     }
 }
 
+/// Refuses per-probe trial budgets of 3 or fewer: the clamped target
+/// `1 − 3/trials` would be vacuous (≤ 0, every gap "succeeds" and the search
+/// degenerates to the smallest feasible gap).
+fn check_probe_trials(trials: u64) -> Result<(), String> {
+    (trials > 3).then_some(()).ok_or_else(|| {
+        format!(
+            "a threshold search needs more than 3 trials per probe, got {trials}: \
+             the clamped target 1 - 3/trials is vacuous for trials <= 3"
+        )
+    })
+}
+
+/// The default success-probability target of a threshold search at
+/// population `n` with at most `trials` trials per probe: the paper's
+/// criterion `1 − 1/n`, clamped to the `1 − 3/trials` such a probe can
+/// resolve. Refuses `trials <= 3`, for which the clamped target is vacuous.
+pub fn default_target(n: u64, trials: u64) -> Result<f64, String> {
+    check_probe_trials(trials)?;
+    let paper = 1.0 - 1.0 / n as f64;
+    let resolvable = 1.0 - 3.0 / trials as f64;
+    Ok(paper.min(resolvable))
+}
+
+/// Finds the first lattice index in `0..=max_index` whose probe reaches its
+/// target, assuming success is monotone in the index: probes index 0, then
+/// doubles (1, 2, 4, …, capped at `max_index`) until a probe succeeds, then
+/// bisects between the last failing and the first succeeding index.
+///
+/// Returns the index, its probe, and whether the search *saturated* (no
+/// index succeeded: the index is `max_index` and its probe failed). The
+/// first probe error ends the search at once.
+pub fn lattice_search<E>(
+    max_index: u64,
+    mut probe: impl FnMut(u64) -> Result<GapProbe, E>,
+) -> Result<(u64, GapProbe, bool), E> {
+    // Doubling: find a succeeding upper bound.
+    let (mut lower, mut upper) = (0u64, 0u64);
+    let mut at_upper = probe(upper)?;
+    while !at_upper.reached_target {
+        if upper == max_index {
+            return Ok((upper, at_upper, true));
+        }
+        lower = upper;
+        upper = upper.saturating_mul(2).clamp(1, max_index);
+        at_upper = probe(upper)?;
+    }
+    // Bisection between the last failing and the first succeeding index.
+    while upper - lower > 1 {
+        let mid = lower + (upper - lower) / 2;
+        let at_mid = probe(mid)?;
+        if at_mid.reached_target {
+            upper = mid;
+            at_upper = at_mid;
+        } else {
+            lower = mid;
+        }
+    }
+    Ok((upper, at_upper, false))
+}
+
 /// Empirical threshold search by doubling followed by binary search on the
 /// feasible-gap lattice (using the monotonicity of the success probability
 /// `ρ(∆)` in `∆`, which holds for all the paper's models).
 ///
 /// The paper's criterion is `target(n) = 1 − 1/n`; resolving that exactly
 /// needs `ω(n)` trials per gap, so the search uses the configured trial
-/// budget and a clamped target `min(1 − 1/n, 1 − 3/trials)` — enough to
+/// budget and the clamped [`default_target`] `min(1 − 1/n, 1 − 3/trials)` — enough to
 /// expose the asymptotic *shape* (polylog vs. polynomial) that Table 1 is
 /// about, which is how the `experiments` binary reports it (README,
 /// *Reproducing the paper*).
@@ -401,11 +462,7 @@ impl ThresholdSearch {
     /// vacuous (≤ 0, every gap "succeeds" and the search degenerates to the
     /// smallest feasible gap).
     pub fn new(trials: u64, seed: Seed) -> Self {
-        assert!(
-            trials > 3,
-            "a threshold search needs more than 3 trials per probe: \
-             the clamped target 1 - 3/trials is vacuous for trials <= 3"
-        );
+        check_probe_trials(trials).unwrap_or_else(|reason| panic!("{reason}"));
         ThresholdSearch {
             trials,
             seed,
@@ -444,11 +501,10 @@ impl ThresholdSearch {
         self.trials
     }
 
-    /// The success-probability target for population size `n`.
+    /// The success-probability target for population size `n`: the
+    /// [`default_target`] at the configured trial budget.
     pub fn target(&self, n: u64) -> f64 {
-        let paper = 1.0 - 1.0 / n as f64;
-        let resolvable = 1.0 - 3.0 / self.trials as f64;
-        paper.min(resolvable)
+        default_target(n, self.trials).expect("the constructor checked the trial budget")
     }
 
     /// Runs one adaptive probe of the factory at `gap` against `target`.
@@ -483,8 +539,7 @@ impl ThresholdSearch {
     }
 
     /// Finds the empirical threshold of any gap family on the configured
-    /// backend: doubling followed by binary search on the feasible-gap
-    /// lattice.
+    /// backend: the [`lattice_search`] over the feasible-gap lattice.
     ///
     /// # Panics
     ///
@@ -503,66 +558,22 @@ impl ThresholdSearch {
         let (min_gap, stride, max_gap) = (factory.min_gap(), factory.stride(), factory.max_gap());
         assert!(min_gap >= 1 && stride >= 1 && max_gap >= min_gap);
         debug_assert_eq!((max_gap - min_gap) % stride, 0, "max_gap off the lattice");
-        let max_index = (max_gap - min_gap) / stride;
         let gap_at = |index: u64| min_gap + index * stride;
-
         let mut probes = Vec::new();
-        let run = |index: u64, probes: &mut Vec<GapProbe>| {
-            let probe = self.probe(factory, gap_at(index), target);
-            probes.push(probe);
-            probe
-        };
-
-        // Doubling phase on lattice indices: find a succeeding upper bound.
-        let mut upper = 0u64;
-        let mut at_upper = run(0, &mut probes);
-        if !at_upper.reached_target {
-            let mut lower;
-            loop {
-                lower = upper;
-                if upper == max_index {
-                    return ThresholdResult {
-                        n,
-                        species: factory.species_count(),
-                        backend: self.backend.to_string(),
-                        threshold: gap_at(max_index),
-                        target,
-                        success_at_threshold: at_upper.estimate,
-                        saturated: true,
-                        probes,
-                    };
-                }
-                upper = if upper == 0 {
-                    1
-                } else {
-                    (upper * 2).min(max_index)
-                };
-                at_upper = run(upper, &mut probes);
-                if at_upper.reached_target {
-                    break;
-                }
-            }
-            // Binary search between the last failing and the first
-            // succeeding lattice index.
-            while upper - lower > 1 {
-                let mid = lower + (upper - lower) / 2;
-                let at_mid = run(mid, &mut probes);
-                if at_mid.reached_target {
-                    upper = mid;
-                    at_upper = at_mid;
-                } else {
-                    lower = mid;
-                }
-            }
-        }
+        let Ok((index, at_threshold, saturated)) =
+            lattice_search((max_gap - min_gap) / stride, |index| {
+                let probe = self.probe(factory, gap_at(index), target);
+                probes.push(probe);
+                Ok::<_, Infallible>(probe)
+            });
         ThresholdResult {
             n,
             species: factory.species_count(),
             backend: self.backend.to_string(),
-            threshold: gap_at(upper),
+            threshold: gap_at(index),
             target,
-            success_at_threshold: at_upper.estimate,
-            saturated: false,
+            success_at_threshold: at_threshold.estimate,
+            saturated,
             probes,
         }
     }
